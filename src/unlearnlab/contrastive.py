@@ -19,7 +19,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import seeds
-from .datagen import AugmentorConfig, LabeledDataset, Splits, paired_views_for_ids
+from .datagen import (
+    AugmentorConfig,
+    LabeledDataset,
+    Splits,
+    draw_view_block,
+    paired_views_for_ids,
+)
 from .diffcore import (
     EncoderNet,
     LossFn,
@@ -50,6 +56,13 @@ class ContrastiveConfig:
             raise ConfigurationError("epochs must be >= 0")
         if self.base_lr < 0:
             raise ConfigurationError("base_lr must be >= 0")
+
+
+def _as_slice(rows: np.ndarray) -> slice | None:
+    """rows as a slice when they are one ascending contiguous range."""
+    if rows.size and np.all(np.diff(rows) == 1):
+        return slice(int(rows[0]), int(rows[-1]) + 1)
+    return None
 
 
 class PairTerms:
@@ -92,7 +105,8 @@ class PairTerms:
 
         exclude_pool_pos[i] >= 0 drops that pool position from anchor i's
         sum (the anchor's own view).  Uses max-subtraction so identical
-        similarities cancel exactly.
+        similarities cancel exactly.  Contiguous anchors and pool (InfoNCE,
+        the AC stack) are gathered and scattered as slices.
         """
         anchor_rows = np.asarray(anchor_rows, dtype=np.int64)
         pool_rows = np.asarray(pool_rows, dtype=np.int64)
@@ -100,7 +114,9 @@ class PairTerms:
             raise ConfigurationError("log-sum-exp needs non-empty anchors and pool")
         if tau <= 0:
             raise ConfigurationError("temperature must be > 0")
-        s = self.p[np.ix_(anchor_rows, pool_rows)] / tau
+        a, q = _as_slice(anchor_rows), _as_slice(pool_rows)
+        cells = (a, q) if a is not None and q is not None else np.ix_(anchor_rows, pool_rows)
+        s = self.p[cells] / tau
         if exclude_pool_pos is not None:
             exclude_pool_pos = np.asarray(exclude_pool_pos, dtype=np.int64)
             which = np.nonzero(exclude_pool_pos >= 0)[0]
@@ -108,12 +124,14 @@ class PairTerms:
         m = s.max(axis=1)
         if not np.all(np.isfinite(m)):
             raise ConfigurationError("an anchor's similarity pool is empty")
-        e = np.exp(s - m[:, None])
+        s -= m[:, None]
+        e = np.exp(s, out=s)
         tot = e.sum(axis=1)
         lse = m + np.log(tot)
         self.value += coeff * float(lse.mean())
-        w = e / tot[:, None]
-        self.g[np.ix_(anchor_rows, pool_rows)] += (coeff / (anchor_rows.size * tau)) * w
+        e /= tot[:, None]
+        e *= coeff / (anchor_rows.size * tau)
+        self.g[cells] += e
 
     def result(self) -> tuple[float, np.ndarray]:
         dz = (self.g + self.g.T) @ self.z
@@ -220,10 +238,12 @@ def pretrain_on_ids(
     loss_fn = info_nce_loss_fn(cfg.temperature)
     for epoch in range(cfg.epochs):
         perm = seeds.stream_rng(cfg.seed, seeds.SHUFFLE_MAIN, epoch).permutation(ids)
+        block = draw_view_block(data, aug, cfg.seed, epoch)
         for step, chunk in enumerate(batch_chunks(perm, cfg.batch_size)):
-            xs, ys = paired_views_for_ids(data, chunk, aug, cfg.seed, epoch)
+            xs, ys = paired_views_for_ids(data, chunk, aug, cfg.seed, epoch, block)
             loss, grads = loss_and_grads(net, np.vstack([xs, ys]), loss_fn)
             if not np.isfinite(loss) or not grads.all_finite():
                 raise NumericError(f"non-finite loss/grads at epoch {epoch} step {step}")
             sgd_momentum_step(net, grads, opt)
+        del block  # free it before the next epoch's block is drawn
     return net

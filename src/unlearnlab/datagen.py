@@ -3,8 +3,16 @@
 Two data sources: synthetic Gaussian clusters for desk-scale runs, and
 CIFAR-10 binary batches (3073-byte records: label byte then 3x32x32
 pixels).  Augmentation produces the paired "views" that contrastive
-training and the audits consume; every view is reproducible from
-(seed, sample id, epoch).
+training and the audits consume.
+
+Training views come from one generator per (seed, epoch): it draws a
+block of randomness with a row per dataset row, in sorted-id order, and
+the two views of (seed, id, epoch) are built from that id's row.  Views
+therefore do not depend on batch composition, and the block is drawn
+once per epoch.  In vector mode that is about 2*n*d normal draws plus as
+many mask draws; in image mode, crop offsets and a flip bit per view.
+Audit and membership-inference views keep their own per-id generators,
+so a data owner can replay them from (seed, id) alone.
 """
 
 from __future__ import annotations
@@ -248,31 +256,57 @@ def split(
     return Splits(train=train, retain=retain, unlearn=unlearn, test=test, validation=validation)
 
 
-def _augment_vector(sample: np.ndarray, cfg: AugmentorConfig, rng) -> np.ndarray:
-    scale = rng.uniform(cfg.scale_lo, cfg.scale_hi)
-    noise = rng.standard_normal(sample.shape[0])
-    gate = rng.random(sample.shape[0])
-    view = sample * scale + cfg.noise_sigma * noise
+def _jitter(x: np.ndarray, scale, noise: np.ndarray, drop: np.ndarray,
+            cfg: AugmentorConfig) -> np.ndarray:
+    """Vector-mode view: scale, add noise, zero the dropped coordinates.
+    Arguments broadcast, so one formula serves one view or a batch."""
+    view = x * scale + cfg.noise_sigma * noise
     if cfg.mask_prob > 0.0:
-        view = np.where(gate < cfg.mask_prob, 0.0, view)
+        view = np.where(drop, 0.0, view)
     return view
 
 
-def _augment_image(sample: np.ndarray, cfg: AugmentorConfig, rng) -> np.ndarray:
-    if sample.shape[0] != CIFAR_PIXELS:
+_SPAN = np.arange(32)
+
+
+def _crop_flip(imgs: np.ndarray, top: np.ndarray, left: np.ndarray,
+               flip: np.ndarray) -> np.ndarray:
+    """Image-mode views of m flattened 3x32x32 images: pad 4 zero pixels,
+    crop 32x32 at (top, left) and mirror the columns where flip is set,
+    as one gather over the batch."""
+    m = imgs.shape[0]
+    padded = np.zeros((m, 3, 40, 40))
+    padded[:, :, 4:36, 4:36] = imgs.reshape(m, 3, 32, 32)
+    rows = top[:, None] + _SPAN
+    cols = left[:, None] + np.where(flip[:, None], 31 - _SPAN, _SPAN)
+    out = padded[np.arange(m)[:, None, None, None], np.arange(3)[None, :, None, None],
+                 rows[:, None, :, None], cols[:, None, None, :]]
+    return out.reshape(m, CIFAR_PIXELS)
+
+
+def _check_image_dim(dim: int) -> None:
+    if dim != CIFAR_PIXELS:
         raise ConfigurationError("image mode needs 3072-dimensional samples")
-    img = sample.reshape(3, 32, 32)
-    padded = np.pad(img, ((0, 0), (4, 4), (4, 4)))
-    top = int(rng.integers(0, 9))
-    left = int(rng.integers(0, 9))
-    crop = padded[:, top : top + 32, left : left + 32]
-    if rng.random() < 0.5:
-        crop = crop[:, :, ::-1]
-    return crop.reshape(-1).copy()
+
+
+def _augment_vector(sample: np.ndarray, cfg: AugmentorConfig, rng) -> np.ndarray:
+    scale = rng.uniform(cfg.scale_lo, cfg.scale_hi)
+    noise = rng.standard_normal(sample.shape[0])
+    drop = rng.random(sample.shape[0]) < cfg.mask_prob
+    return _jitter(sample, scale, noise, drop, cfg)
+
+
+def _augment_image(sample: np.ndarray, cfg: AugmentorConfig, rng) -> np.ndarray:
+    _check_image_dim(sample.shape[0])
+    top = np.array([rng.integers(0, 9)])
+    left = np.array([rng.integers(0, 9)])
+    flip = np.array([rng.random() < 0.5])
+    return _crop_flip(sample[None], top, left, flip)[0]
 
 
 def augment_views(sample, cfg: AugmentorConfig, n_views: int, rng) -> np.ndarray:
-    """n_views independent stochastic views of one sample, shape (n, d)."""
+    """n_views independent stochastic views of one sample, shape (n, d),
+    each drawn from rng in turn (the per-id audit and MI views)."""
     sample = np.asarray(sample, dtype=np.float64).ravel()
     if n_views < 1:
         raise ConfigurationError("n_views must be >= 1")
@@ -280,27 +314,83 @@ def augment_views(sample, cfg: AugmentorConfig, n_views: int, rng) -> np.ndarray
     return np.stack([fn(sample, cfg, rng) for _ in range(n_views)])
 
 
-def augment_pair(sample, cfg: AugmentorConfig, rng) -> tuple[np.ndarray, np.ndarray]:
-    """Two views of one sample (the positive pair)."""
-    views = augment_views(sample, cfg, 2, rng)
-    return views[0], views[1]
+@dataclass(eq=False)
+class ViewBlock:
+    """One epoch's training-view randomness.  Row k belongs to ids[k]
+    (ids sorted) and carries both views of that id: in vector mode
+    scale (n, 2), noise (n, 2, d) and drop (n, 2, d); in image mode
+    offsets (n, 2, 2) as (top, left) and flip (n, 2)."""
+
+    data: LabeledDataset
+    cfg: AugmentorConfig
+    seed: int
+    epoch: int
+    ids: np.ndarray
+    data_rows: np.ndarray
+    draws: dict
+
+    def pairs(self, ids) -> tuple[np.ndarray, np.ndarray]:
+        """Both views of the given ids, row-aligned with them."""
+        ids = np.asarray(ids, dtype=np.int64)
+        pos = np.searchsorted(self.ids, ids)
+        found = self.ids[np.minimum(pos, len(self.ids) - 1)] == ids
+        if not found.all():
+            raise ConfigurationError(f"unknown sample id {int(ids[np.argmin(found)])}")
+        x = self.data.samples[self.data_rows[pos]]
+        d = self.draws
+        if self.cfg.image_mode:
+            off, flip = d["offsets"][pos], d["flip"][pos]
+            return tuple(_crop_flip(x, off[:, v, 0], off[:, v, 1], flip[:, v])
+                         for v in (0, 1))
+        views = _jitter(x[:, None, :], d["scale"][pos][:, :, None], d["noise"][pos],
+                        d["drop"][pos], self.cfg)
+        return views[:, 0], views[:, 1]
 
 
-def view_rng(seed: int, sample_id: int, epoch: int) -> np.random.Generator:
-    """The rng used for one sample's training views in one epoch."""
-    return seeds.stream_rng(seed, seeds.AUGMENT, sample_id, epoch)
+_MASK_CHUNK = 1 << 20  # mask uniforms drawn per chunk (8 MiB of float64)
+
+
+def draw_view_block(data: LabeledDataset, cfg: AugmentorConfig, seed: int,
+                    epoch: int) -> ViewBlock:
+    """Draw the training-view randomness of every dataset row for one
+    (seed, epoch) from stream_rng(seed, AUGMENT, epoch).  A vector-mode
+    block holds 18*n*d bytes (float64 noise and a bool mask for two
+    views), twice the dataset's own 8*n*d."""
+    order = np.argsort(data.ids, kind="stable")
+    n = len(order)
+    rng = seeds.stream_rng(seed, seeds.AUGMENT, epoch)
+    if cfg.image_mode:
+        _check_image_dim(data.dim)
+        draws = {"offsets": rng.integers(0, 9, size=(n, 2, 2)),
+                 "flip": rng.random((n, 2)) < 0.5}
+    else:
+        draws = {"scale": rng.uniform(cfg.scale_lo, cfg.scale_hi, size=(n, 2)),
+                 "noise": rng.standard_normal((n, 2, data.dim)),
+                 "drop": np.empty((n, 2, data.dim), dtype=bool)}
+        # The mask's uniforms are drawn in row chunks, so no (n, 2, d)
+        # float64 array exists beside the noise; rng.random draws one
+        # double per value in order, so the bits match a single draw.
+        step = max(1, _MASK_CHUNK // (2 * data.dim))
+        for i in range(0, n, step):
+            j = min(n, i + step)
+            draws["drop"][i:j] = rng.random((j - i, 2, data.dim)) < cfg.mask_prob
+    return ViewBlock(data, cfg, int(seed), int(epoch), data.ids[order], order, draws)
 
 
 def paired_views_for_ids(
-    data: LabeledDataset, ids, cfg: AugmentorConfig, seed: int, epoch: int
+    data: LabeledDataset, ids, cfg: AugmentorConfig, seed: int, epoch: int,
+    block: ViewBlock | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-id positive pairs as two row-aligned matrices."""
-    rows = data.rows_for(ids)
-    xs = np.empty((len(rows), data.dim))
-    ys = np.empty((len(rows), data.dim))
-    for k, (sid, row) in enumerate(zip(ids, rows)):
-        xs[k], ys[k] = augment_pair(data.samples[row], cfg, view_rng(seed, int(sid), epoch))
-    return xs, ys
+    """The two training views of each (seed, id, epoch) as row-aligned
+    matrices.  Training loops pass the epoch's block so it is drawn once
+    per epoch; without one it is drawn here."""
+    if block is None:
+        block = draw_view_block(data, cfg, seed, epoch)
+    elif not (block.data is data and block.cfg == cfg
+              and (block.seed, block.epoch) == (seed, epoch)):
+        raise ConfigurationError("view block was drawn for another dataset, "
+                                 "augmentation, seed or epoch")
+    return block.pairs(ids)
 
 
 # --- plain-text serialization -------------------------------------------------
@@ -340,8 +430,12 @@ def load_dataset(path: str) -> LabeledDataset:
                 raise DataFormatError(f"{path}:{lineno}: {e}") from None
     if not ids:
         raise DataFormatError(f"{path}: dataset has no rows")
+    samples = np.array(rows)
+    bad = np.flatnonzero(~np.isfinite(samples).all(axis=1))
+    if bad.size:
+        raise DataFormatError(f"{path}:{bad[0] + 2}: non-finite sample value")
     try:
-        return LabeledDataset(np.array(rows), np.array(labels), np.array(ids))
+        return LabeledDataset(samples, np.array(labels), np.array(ids))
     except ConfigurationError as e:
         raise DataFormatError(f"{path}: {e}") from None
 

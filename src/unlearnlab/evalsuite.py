@@ -154,8 +154,9 @@ def _check_unit_features(z: np.ndarray, what: str) -> np.ndarray:
     if z.ndim != 2 or z.shape[0] == 0:
         raise ConfigurationError(f"{what} must be a non-empty 2-d array")
     norms = np.linalg.norm(z, axis=1)
-    if np.any(np.abs(norms - 1.0) > 1e-6):
-        raise ConfigurationError(f"{what} rows must be unit-norm features")
+    # written so that a NaN norm fails the check too
+    if not np.all(np.abs(norms - 1.0) <= 1e-6):
+        raise ConfigurationError(f"{what} rows must be finite unit-norm features")
     return z
 
 

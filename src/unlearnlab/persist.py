@@ -124,12 +124,12 @@ def write_feature_dump(path: PathLike, ids: Sequence[int], feats: np.ndarray) ->
 def read_feature_dump(path: PathLike) -> tuple[np.ndarray, np.ndarray]:
     """Read a feature dump back as (ids, features)."""
     text = Path(path).read_text()
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("id,"):
+    lines = [(k, ln) for k, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
+    if not lines or not lines[0][1].startswith("id,"):
         raise DataFormatError(f"{path}: missing feature dump header")
-    width = len(lines[0].split(",")) - 1
+    width = len(lines[0][1].split(",")) - 1
     ids, rows = [], []
-    for lineno, ln in enumerate(lines[1:], start=2):
+    for lineno, ln in lines[1:]:
         parts = ln.split(",")
         if len(parts) != width + 1:
             raise DataFormatError(
@@ -139,7 +139,11 @@ def read_feature_dump(path: PathLike) -> tuple[np.ndarray, np.ndarray]:
             rows.append([float(p) for p in parts[1:]])
         except ValueError as exc:
             raise DataFormatError(f"{path}:{lineno}: {exc}") from exc
-    return np.array(ids, dtype=np.int64), np.array(rows, dtype=float).reshape(len(rows), width)
+    feats = np.array(rows, dtype=float).reshape(len(rows), width)
+    bad = np.flatnonzero(~np.isfinite(feats).all(axis=1))
+    if bad.size:
+        raise DataFormatError(f"{path}:{lines[1 + bad[0]][0]}: non-finite feature value")
+    return np.array(ids, dtype=np.int64), feats
 
 
 def write_matrix_csv(path: PathLike, values: np.ndarray,

@@ -35,7 +35,13 @@ from .contrastive import (
     pretrain_on_ids,
     steps_per_epoch,
 )
-from .datagen import AugmentorConfig, LabeledDataset, Splits, paired_views_for_ids
+from .datagen import (
+    AugmentorConfig,
+    LabeledDataset,
+    Splits,
+    draw_view_block,
+    paired_views_for_ids,
+)
 from .diffcore import EncoderNet, LossFn, OptState, encoder_forward, loss_and_grads, sgd_momentum_step
 from .errors import ConfigurationError, NumericError
 
@@ -356,16 +362,17 @@ def _run_unlearn_sgd(
                 splits.unlearn
             )
             side = _tile_ids(sideperm, len(chunks), side_width)
+        block = draw_view_block(data, aug, seed, epoch)
         for step, chunk in enumerate(chunks):
-            xs, ys = paired_views_for_ids(data, chunk, aug, seed, epoch)
+            xs, ys = paired_views_for_ids(data, chunk, aug, seed, epoch, block)
             if method == "ac" and unlearn_scale != 0.0:
-                ux, uy = paired_views_for_ids(data, side[step], aug, seed, epoch)
+                ux, uy = paired_views_for_ids(data, side[step], aug, seed, epoch, block)
                 stack = np.vstack([xs, ys, ux, uy])
                 fn = ac_stack_loss_fn(len(chunk), len(side[step]), cfg, unlearn_scale)
                 loss, grads = loss_and_grads(net, stack, fn)
             elif method == "neggrad":
                 loss_r, grads = loss_and_grads(net, np.vstack([xs, ys]), nce)
-                ux, uy = paired_views_for_ids(data, side[step], aug, seed, epoch)
+                ux, uy = paired_views_for_ids(data, side[step], aug, seed, epoch, block)
                 loss_u, g_u = loss_and_grads(net, np.vstack([ux, uy]), nce)
                 grads.axpy(-ascent_weight, g_u)
                 loss = loss_r - ascent_weight * loss_u
@@ -380,6 +387,7 @@ def _run_unlearn_sgd(
             if not np.isfinite(loss) or not grads.all_finite():
                 raise NumericError(f"non-finite loss/grads at epoch {epoch} step {step}")
             sgd_momentum_step(net, grads, opt)
+        del block  # free it before the next epoch's block is drawn
     return net
 
 

@@ -234,6 +234,16 @@ class TestAudit:
                    "--before-x", str(tmp_path / "bx.csv")])
         assert rc == EXIT_CONFIG
 
+    def test_nan_dump_row_is_format_error(self, tmp_path, capsys):
+        self._unit_dump(tmp_path / "by.csv", [0, 1], [[1.0, 0.0], [0.0, 1.0]])
+        bad = tmp_path / "bx.csv"
+        bad.write_text("id,dim0,dim1\n0,1,0\n1,nan,0\n")
+        rc = main(["audit", "--out", str(tmp_path / "aud"),
+                   "--before-x", str(bad), "--before-y", str(tmp_path / "by.csv"),
+                   "--after-x", str(tmp_path / "by.csv"), "--after-y", str(tmp_path / "by.csv")])
+        assert rc == EXIT_FORMAT
+        assert f"{bad}:3:" in capsys.readouterr().err
+
     def test_mismatched_ids_rejected(self, tmp_path):
         self._unit_dump(tmp_path / "bx.csv", [0, 1], [[1.0, 0.0], [0.0, 1.0]])
         self._unit_dump(tmp_path / "by.csv", [0, 2], [[1.0, 0.0], [0.0, 1.0]])

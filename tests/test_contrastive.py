@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from unlearnlab import contrastive, datagen
 from unlearnlab.contrastive import (
     ContrastiveConfig,
     PairTerms,
@@ -107,6 +108,24 @@ class TestPairTerms:
         val, dz = acc.result()
         assert val == pytest.approx(2.0 * z[0] @ z[1], abs=1e-15)
 
+    def test_fast_path_matches_general_path(self, monkeypatch):
+        from unlearnlab.unlearn import ACConfig, ac_stack_loss_fn
+
+        rng = np.random.default_rng(7)
+        cases = [(lambda z: info_nce_with_grads(z, 0.5), rng.normal(size=(2 * b, 5)))
+                 for b in (2, 9, 64)]
+        for scale in (0.0, 0.3):
+            fn = ac_stack_loss_fn(12, 4, ACConfig(temperature=0.4), scale)
+            cases.append((fn, rng.normal(size=(2 * 12 + 2 * 4, 5))))
+        assert contrastive._as_slice(np.arange(3, 9)) == slice(3, 9)
+        fast = [fn(z) for fn, z in cases]
+        # general path: np.ix_ gather and scatter
+        monkeypatch.setattr(contrastive, "_as_slice", lambda rows: None)
+        for (fn, z), (value, grad) in zip(cases, fast):
+            ref_value, ref_grad = fn(z)
+            assert np.array_equal(value, ref_value)
+            assert np.array_equal(grad, ref_grad)
+
     def test_empty_pool_rejected(self):
         z = unit_rows([[1.0, 0.0], [0.0, 1.0]])
         acc = PairTerms(z)
@@ -159,6 +178,22 @@ class TestPretrain:
         a = pretrain(data, splits, ContrastiveConfig(epochs=2, seed=1, batch_size=16), [6, 8, 4], aug)
         b = pretrain(data, splits, ContrastiveConfig(epochs=2, seed=2, batch_size=16), [6, 8, 4], aug)
         assert not np.array_equal(a.layers[0].w, b.layers[0].w)
+
+    def test_one_view_block_per_epoch(self, monkeypatch):
+        data, splits = self._tiny()
+        draws = []
+
+        def counting(*args):
+            draws.append(args[3])
+            return draw(*args)
+
+        draw = datagen.draw_view_block
+        monkeypatch.setattr(datagen, "draw_view_block", counting)
+        monkeypatch.setattr(contrastive, "draw_view_block", counting)
+        cfg = ContrastiveConfig(epochs=3, seed=1, batch_size=8)
+        assert steps_per_epoch(len(splits.train), 8) > 1
+        pretrain(data, splits, cfg, [6, 8, 4], AugmentorConfig())
+        assert draws == [0, 1, 2]
 
     def test_arch_mismatch_rejected(self):
         data, splits = self._tiny()

@@ -3,12 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from unlearnlab import seeds
 from unlearnlab.datagen import (
     AugmentorConfig,
     LabeledDataset,
     Splits,
-    augment_pair,
     augment_views,
+    draw_view_block,
     gen_synthetic,
     load_cifar10,
     load_dataset,
@@ -17,7 +18,6 @@ from unlearnlab.datagen import (
     save_dataset,
     save_splits,
     split,
-    view_rng,
 )
 from unlearnlab.errors import ConfigurationError, DataFormatError
 
@@ -176,24 +176,29 @@ class TestAugment:
         cfg = AugmentorConfig.identity()
         assert cfg.is_identity
         x = np.array([1.5, -2.0, 0.0, 3.25])
-        vx, vy = augment_pair(x, cfg, np.random.default_rng(0))
+        vx, vy = augment_views(x, cfg, 2, np.random.default_rng(0))
         assert np.array_equal(vx, x)
         assert np.array_equal(vy, x)
 
     def test_views_differ_under_noise(self):
         cfg = AugmentorConfig(noise_sigma=0.5, mask_prob=0.0, scale_lo=1.0, scale_hi=1.0)
         x = np.ones(8)
-        vx, vy = augment_pair(x, cfg, np.random.default_rng(3))
+        vx, vy = augment_views(x, cfg, 2, np.random.default_rng(3))
         assert not np.array_equal(vx, vy)
 
     def test_replay_is_deterministic(self):
         cfg = AugmentorConfig()
-        x = np.linspace(-1, 1, 10)
-        a = augment_pair(x, cfg, view_rng(7, 123, 4))
-        b = augment_pair(x, cfg, view_rng(7, 123, 4))
+        ds = gen_synthetic(3, 10, 30, 5.0, seed=0)
+        a = paired_views_for_ids(ds, [7, 3], cfg, 7, 4)
+        b = paired_views_for_ids(ds, [7, 3], cfg, 7, 4)
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
-        c = augment_pair(x, cfg, view_rng(7, 123, 5))
+        c = paired_views_for_ids(ds, [7, 3], cfg, 7, 5)
         assert not np.array_equal(a[0], c[0])
+        # the audit stream replays per id, from (seed, id) alone
+        x = ds.samples[3]
+        d = augment_views(x, cfg, 2, seeds.stream_rng(7, seeds.AUDIT_VIEWS, 3))
+        e = augment_views(x, cfg, 2, seeds.stream_rng(7, seeds.AUDIT_VIEWS, 3))
+        assert np.array_equal(d, e)
 
     def test_mask_zeroes_coordinates(self):
         cfg = AugmentorConfig(noise_sigma=0.0, mask_prob=0.6, scale_lo=1.0, scale_hi=1.0)
@@ -212,13 +217,6 @@ class TestAugment:
         with pytest.raises(ConfigurationError):
             augment_views(np.ones(100), cfg, 1, np.random.default_rng(0))
 
-    def test_paired_views_align_with_ids(self):
-        ds = gen_synthetic(3, 6, 30, 5.0, seed=0)
-        ids = ds.ids[[4, 2, 9]]
-        xs, ys = paired_views_for_ids(ds, ids, AugmentorConfig(), seed=1, epoch=0)
-        x0, y0 = augment_pair(ds.samples_for([ids[0]])[0], AugmentorConfig(), view_rng(1, int(ids[0]), 0))
-        assert np.array_equal(xs[0], x0) and np.array_equal(ys[0], y0)
-
     def test_bad_config_rejected(self):
         with pytest.raises(ConfigurationError):
             AugmentorConfig(noise_sigma=-1.0)
@@ -228,6 +226,115 @@ class TestAugment:
             AugmentorConfig(scale_lo=0.0)
         with pytest.raises(ConfigurationError):
             AugmentorConfig(scale_lo=1.2, scale_hi=0.8)
+
+
+def _shuffled_ids(ds: LabeledDataset, seed: int) -> LabeledDataset:
+    """Same samples under ids with gaps, stored out of id order, so a
+    block row (sorted-id order) differs from the dataset row."""
+    ids = np.random.default_rng(seed).permutation(len(ds)) * 3 + 11
+    return LabeledDataset(ds.samples, ds.labels, ids)
+
+
+def _reference_views(ds, cfg, seed, epoch, sample_id):
+    """Training views of one id, recomputed element by element from the
+    stream key (seed, AUGMENT=4, epoch) and the id's sorted position."""
+    rng = np.random.default_rng((seed, 4, epoch))
+    n, d = ds.samples.shape
+    k = sorted(int(i) for i in ds.ids).index(sample_id)
+    x = ds.samples[list(ds.ids).index(sample_id)]
+    if cfg.image_mode:
+        offsets = rng.integers(0, 9, size=(n, 2, 2))
+        flip = rng.random((n, 2)) < 0.5
+        views = []
+        for v in range(2):
+            padded = np.pad(x.reshape(3, 32, 32), ((0, 0), (4, 4), (4, 4)))
+            top, left = offsets[k, v]
+            crop = padded[:, top:top + 32, left:left + 32]
+            if flip[k, v]:
+                crop = crop[:, :, ::-1]
+            views.append(crop.reshape(-1))
+        return views
+    scale = rng.uniform(cfg.scale_lo, cfg.scale_hi, size=(n, 2))
+    noise = rng.standard_normal((n, 2, d))
+    gate = rng.random((n, 2, d))
+    views = []
+    for v in range(2):
+        out = np.empty(d)
+        for j in range(d):
+            val = x[j] * scale[k, v] + cfg.noise_sigma * noise[k, v, j]
+            out[j] = 0.0 if gate[k, v, j] < cfg.mask_prob else val
+        views.append(out)
+    return views
+
+
+class TestTrainingViews:
+    """Training views come from one block per (seed, epoch) with a row per
+    dataset row in sorted-id order."""
+
+    def _vector_data(self):
+        return _shuffled_ids(gen_synthetic(3, 6, 40, 5.0, seed=0), seed=1)
+
+    def _image_data(self):
+        rng = np.random.default_rng(2)
+        return _shuffled_ids(
+            LabeledDataset(rng.random((12, 3072)), np.zeros(12, dtype=int), np.arange(12)),
+            seed=3,
+        )
+
+    @pytest.mark.parametrize("image_mode", [False, True])
+    def test_views_independent_of_batch_composition(self, image_mode):
+        ds = self._image_data() if image_mode else self._vector_data()
+        cfg = AugmentorConfig(image_mode=image_mode)
+        order = np.random.default_rng(4).permutation(ds.ids)
+        full_x, full_y = paired_views_for_ids(ds, order, cfg, 5, 2)
+        other = order[[3, 0, 7, 1]]
+        batch_x, batch_y = paired_views_for_ids(ds, other, cfg, 5, 2)
+        for k, sid in enumerate(other):
+            alone_x, alone_y = paired_views_for_ids(ds, [sid], cfg, 5, 2)
+            at = int(np.flatnonzero(order == sid)[0])
+            for got in (batch_x[k], full_x[at]):
+                assert got.tobytes() == alone_x[0].tobytes()
+            for got in (batch_y[k], full_y[at]):
+                assert got.tobytes() == alone_y[0].tobytes()
+
+    def test_views_replay_from_seed_epoch_id(self):
+        ds = self._vector_data()
+        cfg = AugmentorConfig(mask_prob=0.3)
+        ids = ds.ids[[5, 0, 33, 12]]
+        xs, ys = paired_views_for_ids(ds, ids, cfg, 9, 3)
+        for k, sid in enumerate(ids):
+            ref_x, ref_y = _reference_views(ds, cfg, 9, 3, int(sid))
+            assert xs[k].tobytes() == ref_x.tobytes()
+            assert ys[k].tobytes() == ref_y.tobytes()
+        assert np.any(xs == 0.0)  # the mask fired somewhere
+
+    def test_image_views_match_reference_crop(self):
+        ds = self._image_data()
+        cfg = AugmentorConfig(image_mode=True)
+        xs, ys = paired_views_for_ids(ds, ds.ids, cfg, 1, 0)
+        flipped = 0
+        for k, sid in enumerate(ds.ids):
+            ref_x, ref_y = _reference_views(ds, cfg, 1, 0, int(sid))
+            assert xs[k].tobytes() == ref_x.tobytes()
+            assert ys[k].tobytes() == ref_y.tobytes()
+            flipped += not np.array_equal(xs[k], ys[k])
+        assert flipped > 0
+
+    def test_block_reused_across_batches_of_one_epoch(self):
+        ds = self._vector_data()
+        cfg = AugmentorConfig()
+        block = draw_view_block(ds, cfg, 5, 1)
+        got = paired_views_for_ids(ds, ds.ids[:7], cfg, 5, 1, block)
+        want = paired_views_for_ids(ds, ds.ids[:7], cfg, 5, 1)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        with pytest.raises(ConfigurationError, match="another"):
+            paired_views_for_ids(ds, ds.ids[:7], cfg, 5, 2, block)
+        with pytest.raises(ConfigurationError, match="unknown sample id 12"):
+            paired_views_for_ids(ds, [12], cfg, 5, 1, block)
+
+    def test_image_mode_needs_image_dim(self):
+        with pytest.raises(ConfigurationError, match="3072"):
+            draw_view_block(self._vector_data(), AugmentorConfig(image_mode=True), 0, 0)
 
 
 class TestSerialization:
@@ -259,6 +366,12 @@ class TestSerialization:
         p = tmp_path / "ragged.csv"
         p.write_text("id,label,dim0\n0,1,0.5\n1,2\n")
         with pytest.raises(DataFormatError):
+            load_dataset(str(p))
+
+    def test_dataset_nonfinite_value_rejected(self, tmp_path):
+        p = tmp_path / "nan.csv"
+        p.write_text("id,label,dim0,dim1\n0,1,0.5,1.0\n1,0,nan,2.0\n2,1,0.1,0.2\n")
+        with pytest.raises(DataFormatError, match=r"nan\.csv:3: non-finite"):
             load_dataset(str(p))
 
     def test_splits_bad_part_rejected(self, tmp_path):

@@ -58,6 +58,14 @@ class TestAlignment:
         with pytest.raises(ConfigurationError, match="unit"):
             alignment_matrix(np.array([[2.0, 0.0]]), np.array([[1.0, 0.0]]))
 
+    def test_nan_rows_rejected(self):
+        nan_row = np.array([[1.0, 0.0], [np.nan, 0.0]])
+        ok = np.array([[1.0, 0.0], [0.0, 1.0]])
+        with pytest.raises(ConfigurationError, match="finite unit-norm"):
+            alignment_matrix(nan_row, ok)
+        with pytest.raises(ConfigurationError, match="finite unit-norm"):
+            forgetting_score_from_features(ok, ok, ok, nan_row)
+
     def test_gap_of_identical_matrices_is_zero(self):
         f = unit_rows(np.random.default_rng(0).normal(size=(4, 3)))
         am = alignment_matrix(f, f)

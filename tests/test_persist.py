@@ -124,6 +124,12 @@ class TestFeatureDump:
         with pytest.raises(DataFormatError):
             write_feature_dump(tmp_path / "f.csv", [1, 2], np.ones((3, 2)))
 
+    def test_nonfinite_read_rejected_with_line(self, tmp_path):
+        p = tmp_path / "f.csv"
+        p.write_text("id,dim0,dim1\n1,0.5,0.5\n\n2,nan,1.0\n3,inf,0.0\n")
+        with pytest.raises(DataFormatError, match=r"f\.csv:4: non-finite"):
+            read_feature_dump(p)
+
 
 class TestMatrixCsv:
     def test_round_trip(self, tmp_path):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from unlearnlab import seeds
+from unlearnlab import datagen, seeds, unlearn
 from unlearnlab.contrastive import ContrastiveConfig, info_nce_batch, info_nce_loss_fn, pretrain
 from unlearnlab.datagen import AugmentorConfig, gen_synthetic, paired_views_for_ids, split
 from unlearnlab.diffcore import (
@@ -296,6 +296,22 @@ class TestRuns:
         b = run_ac(enc, data, splits, cfg, AugmentorConfig())
         for la, lb in zip(a.layers, b.layers):
             assert np.array_equal(la.w, lb.w)
+
+    def test_ac_draws_one_view_block_per_epoch(self, monkeypatch):
+        data, splits = tiny_problem()
+        enc = self._pretrained(data, splits)
+        draws = []
+
+        def counting(*args):
+            draws.append(args[3])
+            return draw(*args)
+
+        draw = datagen.draw_view_block
+        monkeypatch.setattr(datagen, "draw_view_block", counting)
+        monkeypatch.setattr(unlearn, "draw_view_block", counting)
+        cfg = ACConfig(epochs=2, retain_batch=8, unlearn_batch=4, seed=1)
+        run_ac(enc, data, splits, cfg, AugmentorConfig())
+        assert draws == [0, 1]
 
     def test_retrain_matches_pretrain_on_retain(self):
         from unlearnlab.contrastive import pretrain_on_ids
