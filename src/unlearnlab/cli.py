@@ -457,8 +457,7 @@ def _load_dump_pair(path_x, path_y, what: str):
     return ids_x, fx, fy
 
 
-def _dump_views(enc, data, ids, aug, seed: int, out: Path, stem: str):
-    vx, vy = paired_unlearn_views(data, ids, aug, seed)
+def _dump_views(enc, vx, vy, ids, out: Path, stem: str):
     fx, fy = encoder_forward(enc, vx), encoder_forward(enc, vy)
     write_feature_dump(out / f"{stem}_x.csv", ids, fx)
     write_feature_dump(out / f"{stem}_y.csv", ids, fy)
@@ -486,9 +485,9 @@ def cmd_audit(cfg: dict, args) -> int:
         before_enc = load_encoder(_require(Path(args.before), "pre-unlearning checkpoint"))
         after_enc = load_encoder(_require(Path(args.after), "unlearned checkpoint"))
         ids = splits.unlearn
-        aug = _aug_config(cfg)
-        bx, by = _dump_views(before_enc, data, ids, aug, cfg["seed"], out, "before")
-        ax, ay = _dump_views(after_enc, data, ids, aug, cfg["seed"], out, "after")
+        vx, vy = paired_unlearn_views(data, ids, _aug_config(cfg), cfg["seed"])
+        bx, by = _dump_views(before_enc, vx, vy, ids, out, "before")
+        ax, ay = _dump_views(after_enc, vx, vy, ids, out, "after")
 
     fs, per_sample = forgetting_score_from_features(bx, by, ax, ay)
     agm = alignment_gap(alignment_matrix(bx, by, ids, ids),
@@ -553,7 +552,9 @@ def cmd_report(cfg: dict, args) -> int:
 
 
 def _sweep_fs(start, data, splits, base: ACConfig, aug, alpha: float, beta: float,
-              seed: int, job_dir: Path) -> float:
+              views, before, job_dir: Path) -> float:
+    """FS of one grid cell's AC run; views and before are the replay views
+    of the unlearn set and the start encoder's features of them."""
     cfg = ACConfig(
         negpair_weight=alpha,
         forget_weight=beta,
@@ -571,10 +572,9 @@ def _sweep_fs(start, data, splits, base: ACConfig, aug, alpha: float, beta: floa
     net = run_ac(start, data, splits, cfg, aug)
     job_dir.mkdir(parents=True, exist_ok=True)
     save_encoder(net, job_dir / "unlearned.bin")
-    vx, vy = paired_unlearn_views(data, splits.unlearn, aug, seed)
+    (vx, vy), (bx, by) = views, before
     fs, _ = forgetting_score_from_features(
-        encoder_forward(start, vx), encoder_forward(start, vy),
-        encoder_forward(net, vx), encoder_forward(net, vy))
+        bx, by, encoder_forward(net, vx), encoder_forward(net, vy))
     return fs
 
 
@@ -587,9 +587,8 @@ def cmd_sweep(cfg: dict, args) -> int:
     start = load_encoder(_require(enc_path, "encoder checkpoint"))
     reference = load_encoder(_require(ref_path, "retrain checkpoint"))
     aug = _aug_config(cfg)
-    seed = cfg["seed"]
 
-    vx, vy = paired_unlearn_views(data, splits.unlearn, aug, seed)
+    vx, vy = paired_unlearn_views(data, splits.unlearn, aug, cfg["seed"])
     bx, by = encoder_forward(start, vx), encoder_forward(start, vy)
     fs_ref, _ = forgetting_score_from_features(
         bx, by, encoder_forward(reference, vx), encoder_forward(reference, vy))
@@ -603,7 +602,7 @@ def cmd_sweep(cfg: dict, args) -> int:
     def run_job(cell):
         a, b = cell
         job_dir = out / "sweep" / f"a{a:g}_b{b:g}"
-        return _sweep_fs(start, data, splits, base, aug, a, b, seed, job_dir)
+        return _sweep_fs(start, data, splits, base, aug, a, b, (vx, vy), (bx, by), job_dir)
 
     workers = max(1, int(cfg["sweep.workers"]))
     if workers == 1:

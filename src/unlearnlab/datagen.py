@@ -13,6 +13,10 @@ once per epoch.  In vector mode that is about 2*n*d normal draws plus as
 many mask draws; in image mode, crop offsets and a flip bit per view.
 Audit and membership-inference views keep their own per-id generators,
 so a data owner can replay them from (seed, id) alone.
+
+Datasets are stored as `id,label,dim0,...` CSV; the reader parses the
+body with one np.loadtxt call (see persist), and the written bytes are
+those of the csv module with `%.17g` floats.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ import numpy as np
 
 from . import seeds
 from .errors import ConfigurationError, DataFormatError
+from .persist import _read_id_rows
 
 CIFAR_RECORD_BYTES = 3073
 CIFAR_PIXELS = 3072
@@ -396,51 +401,40 @@ def paired_views_for_ids(
 # --- plain-text serialization -------------------------------------------------
 
 def save_dataset(data: LabeledDataset, path: str) -> None:
+    """Write `id,label,dim0,...` CSV with the csv module's `\\r\\n` line
+    ends, each row made by one %-template; %.17g round-trips float64."""
+    row = "%d,%d" + ",%.17g" * data.dim + "\r\n"
     with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["id", "label"] + [f"dim{j}" for j in range(data.dim)])
-        for i in range(len(data)):
-            w.writerow(
-                [int(data.ids[i]), int(data.labels[i])]
-                + [f"{v:.17g}" for v in data.samples[i]]
-            )
+        f.write(",".join(["id", "label"] + [f"dim{j}" for j in range(data.dim)]) + "\r\n")
+        f.writelines(row % (i, y, *x.tolist())
+                     for i, y, x in zip(data.ids.tolist(), data.labels.tolist(), data.samples))
 
 
 def load_dataset(path: str) -> LabeledDataset:
+    """Read a dataset CSV. The body is parsed by one np.loadtxt call: ids
+    and labels must be integers, fields may be quoted, and a blank line or
+    any other malformed line is rejected with its line number."""
     if not os.path.isfile(path):
         raise DataFormatError(f"{path}: no such file")
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataFormatError(f"{path}: empty dataset file") from None
-        if header[:2] != ["id", "label"]:
-            raise DataFormatError(f"{path}: expected 'id,label,dim0,...' header")
-        dim = len(header) - 2
-        ids, labels, rows = [], [], []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != dim + 2:
-                raise DataFormatError(f"{path}:{lineno}: expected {dim + 2} columns")
-            try:
-                ids.append(int(row[0]))
-                labels.append(int(row[1]))
-                rows.append([float(v) for v in row[2:]])
-            except ValueError as e:
-                raise DataFormatError(f"{path}:{lineno}: {e}") from None
-    if not ids:
+    with open(path, newline="", errors="replace") as f:
+        line = f.readline()
+    if not line:
+        raise DataFormatError(f"{path}: empty dataset file")
+    header = next(csv.reader([line]))
+    if header[:2] != ["id", "label"]:
+        raise DataFormatError(f"{path}: expected 'id,label,dim0,...' header")
+    (ids, labels), samples = _read_id_rows(path, 2, ("id", "label"), len(header) - 2,
+                                           "sample", quotechar='"')
+    if not len(ids):
         raise DataFormatError(f"{path}: dataset has no rows")
-    samples = np.array(rows)
-    bad = np.flatnonzero(~np.isfinite(samples).all(axis=1))
-    if bad.size:
-        raise DataFormatError(f"{path}:{bad[0] + 2}: non-finite sample value")
     try:
-        return LabeledDataset(samples, np.array(labels), np.array(ids))
+        return LabeledDataset(samples, labels, ids)
     except ConfigurationError as e:
         raise DataFormatError(f"{path}: {e}") from None
 
 
 _SPLIT_PARTS = ("retain", "unlearn", "test", "validation")
+_INT64 = np.iinfo(np.int64)
 
 
 def save_splits(splits: Splits, path: str) -> None:
@@ -458,7 +452,7 @@ def load_splits(path: str) -> Splits:
     if not os.path.isfile(path):
         raise DataFormatError(f"{path}: no such file")
     buckets: dict[str, list[int]] = {p: [] for p in _SPLIT_PARTS}
-    with open(path, newline="") as f:
+    with open(path, newline="", errors="replace") as f:
         reader = csv.reader(f)
         header = next(reader, None)
         if header != ["id", "part"]:
@@ -467,9 +461,12 @@ def load_splits(path: str) -> Splits:
             if len(row) != 2 or row[1] not in buckets:
                 raise DataFormatError(f"{path}:{lineno}: bad split row {row!r}")
             try:
-                buckets[row[1]].append(int(row[0]))
+                sid = int(row[0])
             except ValueError:
                 raise DataFormatError(f"{path}:{lineno}: bad id {row[0]!r}") from None
+            if not _INT64.min <= sid <= _INT64.max:
+                raise DataFormatError(f"{path}:{lineno}: id {sid} is outside int64")
+            buckets[row[1]].append(sid)
     train = np.array(sorted(buckets["retain"] + buckets["unlearn"]), dtype=np.int64)
     try:
         return Splits(

@@ -4,11 +4,17 @@ Encoder checkpoints use a small binary container so round trips are
 bit-exact. Everything human-facing (features, alignment matrices) goes
 through CSV with full-precision floats; heatmaps render to 8-bit PGM so
 they can be eyeballed without plotting libraries.
+
+The CSV writers format each row with one %-template of `%d` and `%.17g`
+fields, byte for byte what a per-value `%.17g` writer gives. The readers
+(here and in datagen) parse a whole body with one np.loadtxt call and
+rescan the text line by line only to name the first bad line.
 """
 
+import itertools
 import struct
 from pathlib import Path
-from typing import Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -105,6 +111,81 @@ def load_encoder(path: PathLike) -> EncoderNet:
     return EncoderNet(layers, normalize_output=bool(flags & _FLAG_NORMALIZE))
 
 
+def _write_id_rows(path: PathLike, header: str, ids: Sequence[int],
+                   values: np.ndarray) -> None:
+    """Write the header, then one `id,v0,v1,...` line per row, each made by
+    one %-template; %.17g round-trips every float64 exactly."""
+    row = "%d," + ",".join(["%.17g"] * values.shape[1]) + "\n"
+    with open(path, "w") as f:
+        f.write(header + "\n")
+        f.writelines(row % (i, *v.tolist()) for i, v in zip(ids, values))
+
+
+def _read_id_rows(path: PathLike, start: int, int_cols: Sequence[str], width: int,
+                  what: str, quotechar: Optional[str] = None,
+                  skip_blank: bool = False) -> tuple[list, np.ndarray]:
+    """Parse the lines of path from line `start` on as rows of int64
+    columns int_cols then `width` float64 values, with one np.loadtxt call.
+
+    Fields are split on commas only (a `#` is not a comment) and may be
+    quoted with quotechar. Blank lines are skipped but still counted when
+    skip_blank is set, and are errors otherwise. Returns a contiguous int64
+    array per int column and the contiguous (n, width) values. A line that
+    does not parse, or that holds a non-finite value, raises DataFormatError
+    naming path:line. Bytes that are not valid text read as U+FFFD, so they
+    fail to parse like any other bad field.
+    """
+    dtype = np.dtype([(c, np.int64) for c in int_cols] + [("x", np.float64, (width,))])
+    kw = dict(dtype=dtype, delimiter=",", comments=None, quotechar=quotechar, ndmin=1)
+    linenos = []
+
+    def body(f):
+        for lineno, line in enumerate(itertools.islice(f, start - 1, None), start):
+            if not line.isspace():
+                linenos.append(lineno)
+                yield line
+            elif not skip_blank:
+                raise DataFormatError("blank line")  # a ValueError: rescanned below
+
+    with open(path, errors="replace") as f:
+        lines = body(f)
+        try:
+            first = next(lines, None)
+            rows = (np.empty(0, dtype) if first is None
+                    else np.loadtxt(itertools.chain([first], lines), **kw))
+        except ValueError as exc:
+            raise _first_bad_line(path, start, len(int_cols) + width, kw, skip_blank,
+                                  exc) from None
+    values = np.ascontiguousarray(rows["x"])
+    bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
+    if bad.size:
+        raise DataFormatError(f"{path}:{linenos[bad[0]]}: non-finite {what} value")
+    return [np.ascontiguousarray(rows[c]) for c in int_cols], values
+
+
+def _first_bad_line(path: PathLike, start: int, n_fields: int, kw: dict,
+                    skip_blank: bool, exc: ValueError) -> DataFormatError:
+    """The error of _read_id_rows: rescan path from line `start` for the
+    first line that does not parse on its own."""
+    with open(path, errors="replace") as f:
+        for lineno, line in enumerate(itertools.islice(f, start - 1, None), start):
+            if line.isspace():
+                if skip_blank:
+                    continue
+                return DataFormatError(f"{path}:{lineno}: blank line")
+            # a line that parses holds only numbers, so all its commas delimit
+            fields = line.count(",") + 1
+            if fields != n_fields:
+                return DataFormatError(
+                    f"{path}:{lineno}: expected {n_fields} fields, got {fields}")
+            try:
+                np.loadtxt([line], **kw)
+            except ValueError as line_exc:
+                reason = str(line_exc).partition(" at row ")[0]
+                return DataFormatError(f"{path}:{lineno}: {reason}")
+    return DataFormatError(f"{path}: {exc}")
+
+
 def write_feature_dump(path: PathLike, ids: Sequence[int], feats: np.ndarray) -> None:
     """Write per-sample feature rows as `id,dim0,dim1,...` CSV."""
     feats = np.asarray(feats, dtype=float)
@@ -115,35 +196,23 @@ def write_feature_dump(path: PathLike, ids: Sequence[int], feats: np.ndarray) ->
     if not np.all(np.isfinite(feats)):
         raise DataFormatError("refusing to write non-finite feature values")
     header = "id," + ",".join(f"dim{j}" for j in range(feats.shape[1]))
-    lines = [header]
-    for i, row in zip(ids, feats):
-        lines.append(str(int(i)) + "," + ",".join("%.17g" % v for v in row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_id_rows(path, header, ids.tolist(), feats)
 
 
 def read_feature_dump(path: PathLike) -> tuple[np.ndarray, np.ndarray]:
-    """Read a feature dump back as (ids, features)."""
-    text = Path(path).read_text()
-    lines = [(k, ln) for k, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
-    if not lines or not lines[0][1].startswith("id,"):
+    """Read a feature dump back as (ids, features). The header is the first
+    non-blank line; blank lines are skipped but counted in line numbers."""
+    with open(path, errors="replace") as f:
+        for lineno, header in enumerate(f, start=1):
+            if not header.isspace():
+                break
+        else:
+            lineno, header = 0, ""
+    if not header.startswith("id,"):
         raise DataFormatError(f"{path}: missing feature dump header")
-    width = len(lines[0][1].split(",")) - 1
-    ids, rows = [], []
-    for lineno, ln in lines[1:]:
-        parts = ln.split(",")
-        if len(parts) != width + 1:
-            raise DataFormatError(
-                f"{path}:{lineno}: expected {width + 1} fields, got {len(parts)}")
-        try:
-            ids.append(int(parts[0]))
-            rows.append([float(p) for p in parts[1:]])
-        except ValueError as exc:
-            raise DataFormatError(f"{path}:{lineno}: {exc}") from exc
-    feats = np.array(rows, dtype=float).reshape(len(rows), width)
-    bad = np.flatnonzero(~np.isfinite(feats).all(axis=1))
-    if bad.size:
-        raise DataFormatError(f"{path}:{lines[1 + bad[0]][0]}: non-finite feature value")
-    return np.array(ids, dtype=np.int64), feats
+    (ids,), feats = _read_id_rows(path, lineno + 1, ("id",), header.count(","),
+                                  "feature", skip_blank=True)
+    return ids, feats
 
 
 def write_matrix_csv(path: PathLike, values: np.ndarray,
@@ -156,28 +225,8 @@ def write_matrix_csv(path: PathLike, values: np.ndarray,
             f"{len(row_ids)} row ids and {len(col_ids)} col ids")
     if not np.all(np.isfinite(values)):
         raise DataFormatError("refusing to write non-finite matrix values")
-    lines = ["id," + ",".join(str(int(c)) for c in col_ids)]
-    for rid, row in zip(row_ids, values):
-        lines.append(str(int(rid)) + "," + ",".join("%.17g" % v for v in row))
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def read_matrix_csv(path: PathLike) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    text = Path(path).read_text()
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("id,"):
-        raise DataFormatError(f"{path}: missing matrix header")
-    col_ids = np.array([int(c) for c in lines[0].split(",")[1:]], dtype=np.int64)
-    row_ids, rows = [], []
-    for lineno, ln in enumerate(lines[1:], start=2):
-        parts = ln.split(",")
-        if len(parts) != len(col_ids) + 1:
-            raise DataFormatError(
-                f"{path}:{lineno}: expected {len(col_ids) + 1} fields, got {len(parts)}")
-        row_ids.append(int(parts[0]))
-        rows.append([float(p) for p in parts[1:]])
-    values = np.array(rows, dtype=float).reshape(len(rows), len(col_ids))
-    return values, np.array(row_ids, dtype=np.int64), col_ids
+    header = "id," + ",".join(str(int(c)) for c in col_ids)
+    _write_id_rows(path, header, [int(r) for r in row_ids], values)
 
 
 def symmetric_range(values: np.ndarray) -> tuple[float, float]:

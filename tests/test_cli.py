@@ -15,7 +15,7 @@ from unlearnlab.cli import (
     main,
     resolve_config,
 )
-from unlearnlab.persist import load_encoder, read_matrix_csv, write_feature_dump
+from unlearnlab.persist import load_encoder, write_feature_dump
 
 
 TINY = [
@@ -102,6 +102,13 @@ class TestExitCodes:
         (out / "encoder.bin").write_bytes(b"JUNKJUNKJUNK")
         rc = main(["unlearn", "--config", cfg, "--out", str(out)])
         assert rc == EXIT_FORMAT
+
+    def test_out_of_range_dataset_id(self, tmp_path, capsys):
+        data = tmp_path / "dataset.csv"
+        data.write_text("id,label,dim0\n0,0,0.5\n99999999999999999999,1,0.5\n")
+        rc = main(["split", "--data", str(data), "--out", str(tmp_path / "run")])
+        assert rc == EXIT_FORMAT
+        assert f"{data}:3:" in capsys.readouterr().err
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_numeric_divergence(self, tmp_path, capsys):
@@ -207,8 +214,8 @@ class TestAudit:
         vals = dict(ln.split("=") for ln in (out / "audit.txt").read_text().splitlines())
         assert float(vals["fs"]) == 0.0
         assert float(vals["pos_p"]) == 1.0 and float(vals["neg_p"]) == 1.0
-        agm, _, _ = read_matrix_csv(out / "agm.csv")
-        assert np.all(agm == 0.0)
+        agm = np.loadtxt(out / "agm.csv", delimiter=",", skiprows=1)[:, 1:]
+        assert agm.shape == (3, 3) and np.all(agm == 0.0)
         # zero matrix renders mid-gray
         pgm = (out / "agm.pgm").read_bytes()
         assert pgm.startswith(b"P5")

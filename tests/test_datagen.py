@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -373,6 +375,57 @@ class TestSerialization:
         p.write_text("id,label,dim0,dim1\n0,1,0.5,1.0\n1,0,nan,2.0\n2,1,0.1,0.2\n")
         with pytest.raises(DataFormatError, match=r"nan\.csv:3: non-finite"):
             load_dataset(str(p))
+
+    def test_dataset_bytes_match_csv_writer_reference(self, tmp_path):
+        samples = np.array([[-0.0, 5e-324, 1e300], [0.1, 1.0, -2.5]])
+        ds = LabeledDataset(samples, [3, 0], [-5, 2**40])
+        path = tmp_path / "data.csv"
+        save_dataset(ds, str(path))
+        with open(tmp_path / "ref.csv", "w", newline="") as f:
+            w = csv.writer(f)
+            w.writerow(["id", "label", "dim0", "dim1", "dim2"])
+            for i, y, row in zip(ds.ids, ds.labels, samples):
+                w.writerow([int(i), int(y)] + ["%.17g" % v for v in row])
+        blob = path.read_bytes()
+        assert blob == (tmp_path / "ref.csv").read_bytes()
+        assert blob.count(b"\r\n") == 3 and blob.count(b"\n") == 3
+        back = load_dataset(str(path))
+        assert np.array_equal(back.samples.view(np.int64), samples.view(np.int64))
+        assert back.ids.tolist() == [-5, 2**40] and back.samples.flags.c_contiguous
+
+    def test_dataset_quoted_fields_parse(self, tmp_path):
+        p = tmp_path / "q.csv"
+        p.write_text('id,label,dim0,dim1\n"0","1","0.5",2\n')
+        back = load_dataset(str(p))
+        assert back.ids.tolist() == [0] and back.samples.tolist() == [[0.5, 2.0]]
+
+    @pytest.mark.parametrize("row, match", [
+        ("", "blank line"),
+        ("   ", "blank line"),
+        ("1,0,0.5", "expected 4 fields, got 3"),
+        ("1,0.0,0.5,0.5", "'0.0' to int64"),
+        ("1,0,0.5,abc", "'abc' to float64"),
+        ("1,0,#0.5,0.5", "'#0.5' to float64"),
+        ("1,0,1_0,0.5", "'1_0' to float64"),
+        ("99999999999999999999,0,0.5,0.5", "'99999999999999999999' to int64"),
+    ])
+    def test_dataset_bad_line_named(self, tmp_path, row, match):
+        p = tmp_path / "bad.csv"
+        p.write_text(f"id,label,dim0,dim1\n0,1,0.5,1.0\n{row}\n2,1,0.1,0.2\n")
+        with pytest.raises(DataFormatError, match=rf"bad\.csv:3: .*{match}"):
+            load_dataset(str(p))
+
+    def test_dataset_undecodable_bytes_named(self, tmp_path):
+        p = tmp_path / "bin.csv"
+        p.write_bytes(b"id,label,dim0\n0,1,0.5\n1,0,\xff\xfe\n")
+        with pytest.raises(DataFormatError, match=r"bin\.csv:3: could not convert"):
+            load_dataset(str(p))
+
+    def test_splits_out_of_range_id_named(self, tmp_path):
+        p = tmp_path / "sp.csv"
+        p.write_text("id,part\n0,retain\n99999999999999999999,unlearn\n")
+        with pytest.raises(DataFormatError, match=r"sp\.csv:3: id 99999999999999999999"):
+            load_splits(str(p))
 
     def test_splits_bad_part_rejected(self, tmp_path):
         p = tmp_path / "sp.csv"

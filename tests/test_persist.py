@@ -6,7 +6,6 @@ from unlearnlab.errors import DataFormatError
 from unlearnlab.persist import (
     load_encoder,
     read_feature_dump,
-    read_matrix_csv,
     save_encoder,
     symmetric_range,
     write_feature_dump,
@@ -94,6 +93,18 @@ class TestCheckpoint:
             load_encoder(p)
 
 
+# Values whose %.17g text is easy to get wrong: signed zero, the smallest
+# subnormal, a huge value, a value with no short exact form, whole numbers.
+_EDGE_VALUES = [-0.0, 5e-324, 1e300, 0.1, 1.0, -2.5]
+
+
+def _reference_csv(header, ids, values) -> bytes:
+    """The per-value formula the CSV writers must reproduce byte for byte."""
+    lines = [header] + [str(int(i)) + "," + ",".join("%.17g" % v for v in row)
+                        for i, row in zip(ids, values)]
+    return ("\n".join(lines) + "\n").encode()
+
+
 class TestFeatureDump:
     def test_round_trip_exact(self, tmp_path):
         rng = np.random.default_rng(5)
@@ -130,15 +141,54 @@ class TestFeatureDump:
         with pytest.raises(DataFormatError, match=r"f\.csv:4: non-finite"):
             read_feature_dump(p)
 
+    def test_bytes_match_per_value_reference(self, tmp_path):
+        ids = [-7, 0, 2**40]
+        feats = np.array(_EDGE_VALUES * 2).reshape(3, 4)
+        p = tmp_path / "f.csv"
+        write_feature_dump(p, ids, feats)
+        assert p.read_bytes() == _reference_csv("id,dim0,dim1,dim2,dim3", ids, feats)
+        rid, rfeats = read_feature_dump(p)
+        assert rid.tolist() == ids
+        assert np.array_equal(rfeats.view(np.int64), feats.view(np.int64))  # -0.0 too
+
+    def test_blank_lines_skipped_but_counted(self, tmp_path):
+        p = tmp_path / "f.csv"
+        p.write_text("\nid,dim0\n1,0.5\n\n   \n2,0.25\n\n")
+        ids, feats = read_feature_dump(p)
+        assert ids.tolist() == [1, 2] and feats.tolist() == [[0.5], [0.25]]
+        p.write_text("id,dim0\n1,0.5\n\n \n2,x\n")
+        with pytest.raises(DataFormatError, match=r"f\.csv:5: could not convert string 'x'"):
+            read_feature_dump(p)
+
+    @pytest.mark.parametrize("row, match", [
+        ("4,0.5", "expected 3 fields, got 2"),
+        ("4.0,0.5,0.5", "'4.0' to int64"),
+        ("4,0.5,1_0", "'1_0' to float64"),
+        ("4,#0.5,0.5", "'#0.5' to float64"),
+        ("99999999999999999999,0.5,0.5", "'99999999999999999999' to int64"),
+    ])
+    def test_bad_line_named(self, tmp_path, row, match):
+        p = tmp_path / "f.csv"
+        p.write_text(f"id,dim0,dim1\n1,0.5,0.5\n\n{row}\n5,0.5,0.5\n")
+        with pytest.raises(DataFormatError, match=rf"f\.csv:4: .*{match}"):
+            read_feature_dump(p)
+
 
 class TestMatrixCsv:
     def test_round_trip(self, tmp_path):
         vals = np.array([[0.25, -1.0], [1e-17, 3.5]])
         p = tmp_path / "m.csv"
         write_matrix_csv(p, vals, [10, 20], [7, 8])
-        back, rids, cids = read_matrix_csv(p)
-        assert np.array_equal(back, vals)
-        assert rids.tolist() == [10, 20] and cids.tolist() == [7, 8]
+        table = np.loadtxt(p, delimiter=",", dtype=str)
+        assert table[0].tolist() == ["id", "7", "8"]
+        assert table[1:, 0].tolist() == ["10", "20"]
+        assert np.array_equal(table[1:, 1:].astype(float), vals)
+
+    def test_bytes_match_per_value_reference(self, tmp_path):
+        vals = np.array(_EDGE_VALUES).reshape(2, 3)
+        p = tmp_path / "m.csv"
+        write_matrix_csv(p, vals, [-4, 9], [0, -1, 2])
+        assert p.read_bytes() == _reference_csv("id,0,-1,2", [-4, 9], vals)
 
     def test_nonfinite_rejected(self, tmp_path):
         with pytest.raises(DataFormatError, match="non-finite"):
