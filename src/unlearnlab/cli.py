@@ -8,9 +8,9 @@ resolved-config snapshot next to its outputs so reruns are diffable.
 """
 
 import argparse
+import dataclasses
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -110,7 +110,6 @@ _DEFAULTS = {
     "probe.batch_size": 512,
     "sweep.negpair_weights": "1",
     "sweep.forget_weights": "0,4,8",
-    "sweep.workers": 1,
 }
 
 
@@ -555,20 +554,7 @@ def _sweep_fs(start, data, splits, base: ACConfig, aug, alpha: float, beta: floa
               views, before, job_dir: Path) -> float:
     """FS of one grid cell's AC run; views and before are the replay views
     of the unlearn set and the start encoder's features of them."""
-    cfg = ACConfig(
-        negpair_weight=alpha,
-        forget_weight=beta,
-        preserve_weight=base.preserve_weight,
-        unlearn_scale=base.unlearn_scale,
-        epochs=base.epochs,
-        lr=base.lr,
-        temperature=base.temperature,
-        momentum=base.momentum,
-        weight_decay=base.weight_decay,
-        retain_batch=base.retain_batch,
-        unlearn_batch=base.unlearn_batch,
-        seed=base.seed,
-    )
+    cfg = dataclasses.replace(base, negpair_weight=alpha, forget_weight=beta)
     net = run_ac(start, data, splits, cfg, aug)
     job_dir.mkdir(parents=True, exist_ok=True)
     save_encoder(net, job_dir / "unlearned.bin")
@@ -597,19 +583,9 @@ def cmd_sweep(cfg: dict, args) -> int:
     alphas = _parse_grid(cfg["sweep.negpair_weights"], "sweep.negpair_weights")
     betas = _parse_grid(cfg["sweep.forget_weights"], "sweep.forget_weights")
     base = _ac_config(cfg)
-    jobs = [(a, b) for a in alphas for b in betas]
-
-    def run_job(cell):
-        a, b = cell
-        job_dir = out / "sweep" / f"a{a:g}_b{b:g}"
-        return _sweep_fs(start, data, splits, base, aug, a, b, (vx, vy), (bx, by), job_dir)
-
-    workers = max(1, int(cfg["sweep.workers"]))
-    if workers == 1:
-        scores = [run_job(c) for c in jobs]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            scores = list(pool.map(run_job, jobs))
+    scores = [_sweep_fs(start, data, splits, base, aug, a, b, (vx, vy), (bx, by),
+                        out / "sweep" / f"a{a:g}_b{b:g}")
+              for a in alphas for b in betas]
 
     # ratio table: FS(retrain) : FS(candidate), one row per alpha
     lines = ["alpha/beta," + ",".join("%g" % b for b in betas)]

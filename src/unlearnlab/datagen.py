@@ -5,14 +5,15 @@ CIFAR-10 binary batches (3073-byte records: label byte then 3x32x32
 pixels).  Augmentation produces the paired "views" that contrastive
 training and the audits consume.
 
-Training views come from one generator per (seed, epoch): it draws a
-block of randomness with a row per dataset row, in sorted-id order, and
-the two views of (seed, id, epoch) are built from that id's row.  Views
-therefore do not depend on batch composition, and the block is drawn
-once per epoch.  In vector mode that is about 2*n*d normal draws plus as
-many mask draws; in image mode, crop offsets and a flip bit per view.
-Audit and membership-inference views keep their own per-id generators,
-so a data owner can replay them from (seed, id) alone.
+Every set of views is built from one draw per kind of randomness, in a
+fixed order (vector mode: scales, noise, mask uniforms; image mode: crop
+offsets, flip bits), with a leading shape that says whose views they
+are.  Training views come from one generator per (seed, epoch) that
+draws lead shape (n, 2): a row per dataset row in sorted-id order and a
+column per view, so views do not depend on batch composition and the
+block is drawn once per epoch.  Audit and membership-inference views
+draw lead shape (n_views,) from a generator per id, so a data owner can
+replay them from (seed, id) alone.
 
 Datasets are stored as `id,label,dim0,...` CSV; the reader parses the
 body with one np.loadtxt call (see persist), and the written bytes are
@@ -294,29 +295,18 @@ def _check_image_dim(dim: int) -> None:
         raise ConfigurationError("image mode needs 3072-dimensional samples")
 
 
-def _augment_vector(sample: np.ndarray, cfg: AugmentorConfig, rng) -> np.ndarray:
-    scale = rng.uniform(cfg.scale_lo, cfg.scale_hi)
-    noise = rng.standard_normal(sample.shape[0])
-    drop = rng.random(sample.shape[0]) < cfg.mask_prob
-    return _jitter(sample, scale, noise, drop, cfg)
-
-
-def _augment_image(sample: np.ndarray, cfg: AugmentorConfig, rng) -> np.ndarray:
-    _check_image_dim(sample.shape[0])
-    top = np.array([rng.integers(0, 9)])
-    left = np.array([rng.integers(0, 9)])
-    flip = np.array([rng.random() < 0.5])
-    return _crop_flip(sample[None], top, left, flip)[0]
-
-
 def augment_views(sample, cfg: AugmentorConfig, n_views: int, rng) -> np.ndarray:
     """n_views independent stochastic views of one sample, shape (n, d),
-    each drawn from rng in turn (the per-id audit and MI views)."""
+    built from one draw per kind of randomness (the per-id audit and MI
+    views; see _draw_views for the order)."""
     sample = np.asarray(sample, dtype=np.float64).ravel()
     if n_views < 1:
         raise ConfigurationError("n_views must be >= 1")
-    fn = _augment_image if cfg.image_mode else _augment_vector
-    return np.stack([fn(sample, cfg, rng) for _ in range(n_views)])
+    d = _draw_views(rng, cfg, sample.shape[0], (n_views,))
+    if cfg.image_mode:
+        imgs = np.broadcast_to(sample, (n_views, sample.shape[0]))
+        return _crop_flip(imgs, d["offsets"][:, 0], d["offsets"][:, 1], d["flip"])
+    return _jitter(sample, d["scale"][:, None], d["noise"], d["drop"], cfg)
 
 
 @dataclass(eq=False)
@@ -355,30 +345,36 @@ class ViewBlock:
 _MASK_CHUNK = 1 << 20  # mask uniforms drawn per chunk (8 MiB of float64)
 
 
+def _draw_views(rng, cfg: AugmentorConfig, dim: int, lead: tuple) -> dict:
+    """The randomness of views with leading shape `lead`, one draw per
+    kind in this order: vector mode scale lead, noise lead+(d,) and drop
+    lead+(d,); image mode offsets lead+(2,) as (top, left) and flip lead.
+    The mask's uniforms are drawn in chunks along the first axis, so no
+    float64 array of the mask's size exists beside the noise; rng.random
+    draws one double per value in order, so the bits match a single draw."""
+    if cfg.image_mode:
+        _check_image_dim(dim)
+        return {"offsets": rng.integers(0, 9, size=(*lead, 2)),
+                "flip": rng.random(lead) < 0.5}
+    drop = np.empty((*lead, dim), dtype=bool)
+    draws = {"scale": rng.uniform(cfg.scale_lo, cfg.scale_hi, size=lead),
+             "noise": rng.standard_normal((*lead, dim)), "drop": drop}
+    step = max(1, _MASK_CHUNK // (int(np.prod(lead[1:])) * dim))
+    for i in range(0, len(drop), step):
+        part = drop[i:i + step]
+        part[...] = rng.random(part.shape) < cfg.mask_prob
+    return draws
+
+
 def draw_view_block(data: LabeledDataset, cfg: AugmentorConfig, seed: int,
                     epoch: int) -> ViewBlock:
     """Draw the training-view randomness of every dataset row for one
-    (seed, epoch) from stream_rng(seed, AUGMENT, epoch).  A vector-mode
-    block holds 18*n*d bytes (float64 noise and a bool mask for two
-    views), twice the dataset's own 8*n*d."""
+    (seed, epoch) from stream_rng(seed, AUGMENT, epoch), with lead shape
+    (n, 2).  A vector-mode block holds 18*n*d bytes (float64 noise and a
+    bool mask for two views), twice the dataset's own 8*n*d."""
     order = np.argsort(data.ids, kind="stable")
-    n = len(order)
     rng = seeds.stream_rng(seed, seeds.AUGMENT, epoch)
-    if cfg.image_mode:
-        _check_image_dim(data.dim)
-        draws = {"offsets": rng.integers(0, 9, size=(n, 2, 2)),
-                 "flip": rng.random((n, 2)) < 0.5}
-    else:
-        draws = {"scale": rng.uniform(cfg.scale_lo, cfg.scale_hi, size=(n, 2)),
-                 "noise": rng.standard_normal((n, 2, data.dim)),
-                 "drop": np.empty((n, 2, data.dim), dtype=bool)}
-        # The mask's uniforms are drawn in row chunks, so no (n, 2, d)
-        # float64 array exists beside the noise; rng.random draws one
-        # double per value in order, so the bits match a single draw.
-        step = max(1, _MASK_CHUNK // (2 * data.dim))
-        for i in range(0, n, step):
-            j = min(n, i + step)
-            draws["drop"][i:j] = rng.random((j - i, 2, data.dim)) < cfg.mask_prob
+    draws = _draw_views(rng, cfg, data.dim, (len(order), 2))
     return ViewBlock(data, cfg, int(seed), int(epoch), data.ids[order], order, draws)
 
 

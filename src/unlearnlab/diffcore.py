@@ -249,39 +249,6 @@ def loss_and_grads(net: EncoderNet, batch, loss_fn: LossFn) -> tuple[float, Grad
     return value, grads
 
 
-def backprop(net: EncoderNet, batch, loss_fn: LossFn) -> GradSet:
-    """Parameter gradients of a scalar loss over a batch."""
-    return loss_and_grads(net, batch, loss_fn)[1]
-
-
-def cosine_similarity(u, v) -> float:
-    """Cosine of the angle between two vectors, clamped to [-1, 1].
-    Zero vectors are outside the domain."""
-    u = np.asarray(u, dtype=np.float64).ravel()
-    v = np.asarray(v, dtype=np.float64).ravel()
-    if u.shape != v.shape:
-        raise ConfigurationError(f"vector shapes differ: {u.shape} vs {v.shape}")
-    nu = float(np.linalg.norm(u))
-    nv = float(np.linalg.norm(v))
-    if nu == 0.0 or nv == 0.0:
-        raise ConfigurationError("cosine similarity of a zero vector is undefined")
-    c = float(np.dot(u, v) / (nu * nv))
-    return min(1.0, max(-1.0, c))
-
-
-def rowwise_cosine(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Cosine similarity per row pair, clamped to [-1, 1]."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape or a.ndim != 2:
-        raise ConfigurationError("rowwise cosine needs two equal-shape 2-d arrays")
-    na = np.linalg.norm(a, axis=1)
-    nb = np.linalg.norm(b, axis=1)
-    if np.any(na == 0.0) or np.any(nb == 0.0):
-        raise ConfigurationError("cosine similarity of a zero vector is undefined")
-    return np.clip(np.sum(a * b, axis=1) / (na * nb), -1.0, 1.0)
-
-
 def cosine_lr(step: int, total_steps: int, base_lr: float) -> float:
     """Half-cosine decay from base_lr at step 0 to 0 at step == total_steps."""
     if total_steps < 1:

@@ -503,7 +503,7 @@ def cmia_efficacy(
     return float(np.mean(u <= thr))
 
 
-# --- gap summaries and uniformity ---------------------------------------------------
+# --- gap summaries ----------------------------------------------------------------
 
 
 def gap_report(candidate: dict[str, float], reference: dict[str, float]) -> GapReport:
@@ -523,22 +523,6 @@ def gap_report(candidate: dict[str, float], reference: dict[str, float]) -> GapR
         pct.append(100.0 * gaps[k] / abs(ref))
     agp = float(np.mean(pct)) if pct else float("nan")
     return GapReport(gaps=gaps, avg_gap=avg_gap, agp=agp)
-
-
-def uniformity_angles(feats) -> tuple[np.ndarray, float]:
-    """For 2-d unit features: 18-bin angle histogram over [-pi, pi] and the
-    Kolmogorov-Smirnov statistic against the uniform angle law."""
-    z = np.asarray(feats, dtype=np.float64)
-    if z.ndim != 2 or z.shape[1] != 2 or z.shape[0] == 0:
-        raise ConfigurationError("uniformity check needs non-empty (n, 2) features")
-    angles = np.arctan2(z[:, 1], z[:, 0])
-    counts, _ = np.histogram(angles, bins=18, range=(-np.pi, np.pi))
-    s = np.sort(angles)
-    n = s.size
-    cdf = (s + np.pi) / (2.0 * np.pi)
-    upper = np.max(np.arange(1, n + 1) / n - cdf)
-    lower = np.max(cdf - np.arange(0, n) / n)
-    return counts, float(max(upper, lower))
 
 
 # --- one-call report ------------------------------------------------------------------

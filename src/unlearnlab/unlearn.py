@@ -281,21 +281,6 @@ def unlearn_loss(
     return float(fn(z)[0])
 
 
-def ac_total_loss(
-    enc: EncoderNet, retain_x, retain_y, unlearn_x, unlearn_y, pool_views, cfg: ACConfig
-) -> float:
-    """retain_loss + unlearn_scale * unlearn_loss on a shared pool."""
-    if cfg.unlearn_scale is None:
-        raise ConfigurationError(
-            "cfg.unlearn_scale must be resolved here; run_ac derives it from splits"
-        )
-    r = retain_loss(enc, retain_x, retain_y, pool_views, cfg.temperature)
-    if cfg.unlearn_scale == 0.0:
-        return r
-    u = unlearn_loss(enc, unlearn_x, unlearn_y, pool_views, cfg)
-    return r + cfg.unlearn_scale * u
-
-
 # --- SGD drivers ----------------------------------------------------------------
 
 def _tile_ids(perm: np.ndarray, count: int, width: int) -> list[np.ndarray]:

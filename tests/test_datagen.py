@@ -237,6 +237,22 @@ def _shuffled_ids(ds: LabeledDataset, seed: int) -> LabeledDataset:
     return LabeledDataset(ds.samples, ds.labels, ids)
 
 
+def _reference_crop(x, top, left, flip):
+    """One image-mode view: pad 4 zero pixels, crop 32x32, maybe mirror."""
+    padded = np.pad(x.reshape(3, 32, 32), ((0, 0), (4, 4), (4, 4)))
+    crop = padded[:, top:top + 32, left:left + 32]
+    return (crop[:, :, ::-1] if flip else crop).reshape(-1)
+
+
+def _reference_jitter(x, scale, noise, gate, cfg):
+    """One vector-mode view, element by element."""
+    out = np.empty(x.shape[0])
+    for j in range(x.shape[0]):
+        val = x[j] * scale + cfg.noise_sigma * noise[j]
+        out[j] = 0.0 if gate[j] < cfg.mask_prob else val
+    return out
+
+
 def _reference_views(ds, cfg, seed, epoch, sample_id):
     """Training views of one id, recomputed element by element from the
     stream key (seed, AUGMENT=4, epoch) and the id's sorted position."""
@@ -247,26 +263,43 @@ def _reference_views(ds, cfg, seed, epoch, sample_id):
     if cfg.image_mode:
         offsets = rng.integers(0, 9, size=(n, 2, 2))
         flip = rng.random((n, 2)) < 0.5
-        views = []
-        for v in range(2):
-            padded = np.pad(x.reshape(3, 32, 32), ((0, 0), (4, 4), (4, 4)))
-            top, left = offsets[k, v]
-            crop = padded[:, top:top + 32, left:left + 32]
-            if flip[k, v]:
-                crop = crop[:, :, ::-1]
-            views.append(crop.reshape(-1))
-        return views
+        return [_reference_crop(x, *offsets[k, v], flip[k, v]) for v in range(2)]
     scale = rng.uniform(cfg.scale_lo, cfg.scale_hi, size=(n, 2))
     noise = rng.standard_normal((n, 2, d))
     gate = rng.random((n, 2, d))
-    views = []
-    for v in range(2):
-        out = np.empty(d)
-        for j in range(d):
-            val = x[j] * scale[k, v] + cfg.noise_sigma * noise[k, v, j]
-            out[j] = 0.0 if gate[k, v, j] < cfg.mask_prob else val
-        views.append(out)
-    return views
+    return [_reference_jitter(x, scale[k, v], noise[k, v], gate[k, v], cfg) for v in range(2)]
+
+
+class TestReplayViews:
+    """augment_views draws each kind of randomness once for all n views,
+    in the documented order."""
+
+    def test_vector_views_match_reference_draw_order(self):
+        cfg = AugmentorConfig(mask_prob=0.3)
+        x = np.random.default_rng(6).normal(size=9)
+        views = augment_views(x, cfg, 5, np.random.default_rng((3, 8, 41)))
+        rng = np.random.default_rng((3, 8, 41))
+        scale = rng.uniform(cfg.scale_lo, cfg.scale_hi, size=5)
+        noise = rng.standard_normal((5, 9))
+        gate = rng.random((5, 9))
+        assert views.shape == (5, 9)
+        for v in range(5):
+            ref = _reference_jitter(x, scale[v], noise[v], gate[v], cfg)
+            assert views[v].tobytes() == ref.tobytes()
+        assert np.any(views == 0.0)  # the mask fired somewhere
+
+    def test_image_views_match_reference_draw_order(self):
+        cfg = AugmentorConfig(image_mode=True)
+        x = np.random.default_rng(7).random(3072)
+        views = augment_views(x, cfg, 6, np.random.default_rng((2, 9, 17)))
+        rng = np.random.default_rng((2, 9, 17))
+        offsets = rng.integers(0, 9, size=(6, 2))
+        flip = rng.random(6) < 0.5
+        assert views.shape == (6, 3072)
+        for v in range(6):
+            ref = _reference_crop(x, *offsets[v], flip[v])
+            assert views[v].tobytes() == ref.tobytes()
+        assert flip.any() and not flip.all()
 
 
 class TestTrainingViews:

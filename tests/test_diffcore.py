@@ -8,14 +8,11 @@ from unlearnlab.diffcore import (
     EncoderNet,
     GradSet,
     OptState,
-    backprop,
     cosine_lr,
-    cosine_similarity,
     encoder_forward,
     finite_diff_check,
     init_encoder,
     loss_and_grads,
-    rowwise_cosine,
     sgd_momentum_step,
 )
 from unlearnlab.errors import ConfigurationError, NumericError
@@ -96,33 +93,10 @@ class TestForward:
         assert not np.array_equal(a.layers[0].w, c.layers[0].w)
 
 
-class TestCosine:
-    def test_basic_values(self):
-        assert cosine_similarity([1, 0], [0, 1]) == 0.0
-        assert cosine_similarity([2, 0], [5, 0]) == 1.0
-        assert cosine_similarity([1, 1], [-1, -1]) == pytest.approx(-1.0, abs=1e-15)
-
-    def test_zero_vector_rejected(self):
-        with pytest.raises(ConfigurationError):
-            cosine_similarity([0.0, 0.0], [1.0, 0.0])
-
-    def test_clamped_to_unit_interval(self):
-        v = np.array([1e-8, 1.0])
-        assert -1.0 <= cosine_similarity(v, v) <= 1.0
-
-    def test_rowwise_matches_scalar(self):
-        rng = np.random.default_rng(0)
-        a = rng.normal(size=(6, 4))
-        b = rng.normal(size=(6, 4))
-        rc = rowwise_cosine(a, b)
-        for i in range(6):
-            assert rc[i] == pytest.approx(cosine_similarity(a[i], b[i]), abs=1e-12)
-
-
 class TestBackprop:
     def test_constant_loss_gives_zero_grads(self):
         net = init_encoder([3, 4, 2], seed=1)
-        grads = backprop(net, np.ones((5, 3)), lambda z: (1.0, np.zeros_like(z)))
+        _, grads = loss_and_grads(net, np.ones((5, 3)), lambda z: (1.0, np.zeros_like(z)))
         for a in grads.arrays():
             assert np.all(a == 0.0)
 

@@ -32,7 +32,6 @@ from unlearnlab.evalsuite import (
     paired_unlearn_views,
     reg_inc_beta,
     softmax_xent_loss_fn,
-    uniformity_angles,
     welch_ttest,
 )
 
@@ -118,6 +117,27 @@ class TestForgettingScore:
         a = paired_unlearn_views(data, data.ids[:5], AugmentorConfig(), seed=9)
         b = paired_unlearn_views(data, data.ids[:5], AugmentorConfig(), seed=9)
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+
+    def test_replayed_views_are_per_id(self):
+        """An id's pair is the same replayed alone or among other ids, and
+        is drawn from its own (seed, AUDIT_VIEWS=8, id) generator: scales
+        (2,), then noise (2, d), then mask uniforms (2, d)."""
+        data = gen_synthetic(3, 7, 30, 5.0, seed=0)
+        aug = AugmentorConfig(mask_prob=0.3)
+        ids = [21, 4, 13]
+        xs, ys = paired_unlearn_views(data, ids, aug, seed=9)
+        for k, sid in enumerate(ids):
+            ax, ay = paired_unlearn_views(data, [sid], aug, seed=9)
+            assert xs[k].tobytes() == ax[0].tobytes()
+            assert ys[k].tobytes() == ay[0].tobytes()
+            rng = np.random.default_rng((9, 8, sid))
+            scale = rng.uniform(aug.scale_lo, aug.scale_hi, size=2)
+            noise = rng.standard_normal((2, 7))
+            drop = rng.random((2, 7)) < aug.mask_prob
+            x = data.samples[sid]
+            ref = np.where(drop, 0.0, x * scale[:, None] + aug.noise_sigma * noise)
+            assert xs[k].tobytes() == ref[0].tobytes()
+            assert ys[k].tobytes() == ref[1].tobytes()
 
 
 class TestNegAlignmentStats:
@@ -379,31 +399,6 @@ class TestGapReport:
     def test_no_common_metrics_rejected(self):
         with pytest.raises(ConfigurationError):
             gap_report({"a": 1.0}, {"b": 1.0})
-
-
-class TestUniformity:
-    def test_four_axis_points(self):
-        z = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
-        counts, ks = uniformity_angles(z)
-        assert counts.sum() == 4
-        assert counts.max() == 1
-        assert 0.0 < ks < 1.0
-
-    def test_point_mass_is_maximally_nonuniform(self):
-        z = np.tile([[np.cos(-3.1), np.sin(-3.1)]], (50, 1))
-        _, ks = uniformity_angles(z)
-        assert ks > 1.0 - 1.0 / 18.0
-
-    def test_uniform_angles_score_low(self):
-        rng = np.random.default_rng(7)
-        theta = rng.uniform(-np.pi, np.pi, size=2000)
-        z = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-        _, ks = uniformity_angles(z)
-        assert ks < 0.05
-
-    def test_wrong_dim_rejected(self):
-        with pytest.raises(ConfigurationError):
-            uniformity_angles(np.ones((5, 3)))
 
 
 class TestFullReport:

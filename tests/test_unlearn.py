@@ -17,7 +17,6 @@ from unlearnlab.unlearn import (
     ACConfig,
     UnlearnMethod,
     ac_stack_loss_fn,
-    ac_total_loss,
     retain_loss,
     retain_stack_loss_fn,
     retrain,
@@ -146,27 +145,6 @@ class TestUnlearnLoss:
         cfg = ACConfig(negpair_weight=0, forget_weight=1, preserve_weight=0)
         val = unlearn_loss(enc, v, v.copy(), np.vstack([v, v]), cfg)
         assert val == pytest.approx(1.0, abs=1e-14)
-
-
-class TestACTotal:
-    def test_composition(self):
-        enc = identity_encoder(2)
-        pool = np.vstack([X_VIEWS, Y_VIEWS, [[0.6, 0.8]]])
-        for scale in (0.0, 0.25, 1.0, 1.0 / 9.0):
-            cfg = ACConfig(unlearn_scale=scale)
-            total = ac_total_loss(enc, X_VIEWS, Y_VIEWS, Y_VIEWS, X_VIEWS, pool, cfg)
-            r = retain_loss(enc, X_VIEWS, Y_VIEWS, pool, cfg.temperature)
-            if scale == 0.0:
-                assert total == r
-            else:
-                u = unlearn_loss(enc, Y_VIEWS, X_VIEWS, pool, cfg)
-                assert total == pytest.approx(r + scale * u, abs=1e-13)
-
-    def test_unresolved_scale_rejected(self):
-        enc = identity_encoder(2)
-        pool = np.vstack([X_VIEWS, Y_VIEWS])
-        with pytest.raises(ConfigurationError, match="unlearn_scale"):
-            ac_total_loss(enc, X_VIEWS, Y_VIEWS, X_VIEWS, Y_VIEWS, pool, ACConfig())
 
 
 class TestGradients:
