@@ -8,6 +8,7 @@ from unlearnlab.diffcore import (
     DenseLayer,
     EncoderNet,
     cosine_lr,
+    encoder_forward,
     finite_diff_check,
     init_encoder,
     loss_and_grads,
@@ -145,6 +146,23 @@ class TestUnlearnLoss:
         cfg = ACConfig(negpair_weight=0, forget_weight=1, preserve_weight=0)
         val = unlearn_loss(enc, v, v.copy(), np.vstack([v, v]), cfg)
         assert val == pytest.approx(1.0, abs=1e-14)
+
+
+class TestACTotal:
+    def test_composition(self):
+        """The training loss over a stack [rx; ry; ux; uy] is retain_loss
+        plus unlearn_scale * unlearn_loss, each against the whole stack."""
+        enc = identity_encoder(2)
+        theta = np.linspace(0.1, 5.9, 8)
+        stack = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+        rx, ry, ux, uy = stack[0:2], stack[2:4], stack[4:6], stack[6:8]
+        z = encoder_forward(enc, stack)
+        for scale in (0.0, 0.25, 1.0, 1.0 / 9.0):
+            cfg = ACConfig(unlearn_scale=scale)
+            total = ac_stack_loss_fn(2, 2, cfg, scale)(z)[0]
+            r = retain_loss(enc, rx, ry, stack, cfg.temperature)
+            u = unlearn_loss(enc, ux, uy, stack, cfg)
+            assert total == pytest.approx(r + scale * u, abs=1e-13)
 
 
 class TestGradients:
