@@ -587,19 +587,15 @@ def cmd_sweep(cfg: dict, args) -> int:
                         out / "sweep" / f"a{a:g}_b{b:g}")
               for a in alphas for b in betas]
 
-    # ratio table: FS(retrain) : FS(candidate), one row per alpha
+    # gap table: FS(candidate) - FS(retrain), one row per alpha
     lines = ["alpha/beta," + ",".join("%g" % b for b in betas)]
     it = iter(scores)
     for a in alphas:
-        row = []
-        for _ in betas:
-            fs = next(it)
-            row.append(_fmt(fs_ref / fs) if fs != 0.0 else "nan")
-        lines.append("%g," % a + ",".join(row))
-    (out / "fs_ratio_grid.csv").write_text("\n".join(lines) + "\n")
+        lines.append("%g," % a + ",".join(_fmt(next(it) - fs_ref) for _ in betas))
+    (out / "fs_gap_grid.csv").write_text("\n".join(lines) + "\n")
     for line in lines:
         print(line)
-    print(f"wrote {out / 'fs_ratio_grid.csv'}")
+    print(f"wrote {out / 'fs_gap_grid.csv'}")
     return EXIT_OK
 
 
@@ -649,7 +645,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("report", "metric gaps between two saved reports", data_flags=False)
     p.add_argument("--candidate", required=True, help="candidate report.txt")
     p.add_argument("--reference", required=True, help="reference report.txt")
-    p = add("sweep", "calibration-weight grid emitting forgetting-score ratios")
+    p = add("sweep", "calibration-weight grid of forgetting-score gaps to retraining")
     p.add_argument("--encoder", default=None, help="pretrained checkpoint (default <out>/encoder.bin)")
     p.add_argument("--reference", default=None, help="retrain checkpoint (default <out>/retrain.bin)")
     return top

@@ -17,7 +17,10 @@ replay them from (seed, id) alone.
 
 Datasets are stored as `id,label,dim0,...` CSV; the reader parses the
 body with one np.loadtxt call (see persist), and the written bytes are
-those of the csv module with `%.17g` floats.
+those of the csv module with `%.17g` floats.  The CSV is the source of
+truth; the writer also leaves a binary copy of the arrays beside it, which
+the reader uses instead of parsing only when the copy's digest matches the
+CSV's bytes.
 """
 
 from __future__ import annotations
@@ -32,7 +35,8 @@ import numpy as np
 
 from . import seeds
 from .errors import ConfigurationError, DataFormatError
-from .persist import _read_id_rows
+from .persist import (_read_id_rows, atomic_write, file_digest, load_dataset_copy,
+                      save_dataset_copy)
 
 CIFAR_RECORD_BYTES = 3073
 CIFAR_PIXELS = 3072
@@ -398,18 +402,43 @@ def paired_views_for_ids(
 
 def save_dataset(data: LabeledDataset, path: str) -> None:
     """Write `id,label,dim0,...` CSV with the csv module's `\\r\\n` line
-    ends, each row made by one %-template; %.17g round-trips float64."""
+    ends, each row made by one %-template; %.17g round-trips float64.
+    Then write the binary copy `<path>.bin`, keyed by the CSV's digest.
+    Each file is replaced whole, the CSV first: a crash between the two
+    leaves an old or no copy, whose digest the new CSV does not match."""
     row = "%d,%d" + ",%.17g" * data.dim + "\r\n"
-    with open(path, "w", newline="") as f:
+    with atomic_write(path, "w", newline="") as f:
         f.write(",".join(["id", "label"] + [f"dim{j}" for j in range(data.dim)]) + "\r\n")
         f.writelines(row % (i, y, *x.tolist())
                      for i, y, x in zip(data.ids.tolist(), data.labels.tolist(), data.samples))
+    save_dataset_copy(_copy_path(path), file_digest(path), data.ids, data.labels, data.samples)
+
+
+def _copy_path(path) -> str:
+    return os.fspath(path) + ".bin"
+
+
+def _trusted_copy(path, width: int) -> LabeledDataset | None:
+    """The dataset in path's binary copy if the copy matches the CSV's
+    bytes and passes the checks a parse would, else None."""
+    copy = load_dataset_copy(_copy_path(path), file_digest(path), width)
+    if copy is None:
+        return None
+    ids, labels, samples = copy
+    if not len(ids) or not np.isfinite(samples).all():
+        return None
+    try:
+        return LabeledDataset(samples, labels, ids)
+    except ConfigurationError:
+        return None
 
 
 def load_dataset(path: str) -> LabeledDataset:
-    """Read a dataset CSV. The body is parsed by one np.loadtxt call: ids
-    and labels must be integers, fields may be quoted, and a blank line or
-    any other malformed line is rejected with its line number."""
+    """Read a dataset CSV. When `<path>.bin` is a copy written with these
+    exact CSV bytes (same blake2b digest and width), its arrays are used;
+    otherwise the body is parsed by one np.loadtxt call: ids and labels
+    must be integers, fields may be quoted, and a blank line or any other
+    malformed line is rejected with its line number. Never writes."""
     if not os.path.isfile(path):
         raise DataFormatError(f"{path}: no such file")
     with open(path, newline="", errors="replace") as f:
@@ -419,6 +448,9 @@ def load_dataset(path: str) -> LabeledDataset:
     header = next(csv.reader([line]))
     if header[:2] != ["id", "label"]:
         raise DataFormatError(f"{path}: expected 'id,label,dim0,...' header")
+    data = _trusted_copy(path, len(header) - 2)
+    if data is not None:
+        return data
     (ids, labels), samples = _read_id_rows(path, 2, ("id", "label"), len(header) - 2,
                                            "sample", quotechar='"')
     if not len(ids):

@@ -9,9 +9,17 @@ The CSV writers format each row with one %-template of `%d` and `%.17g`
 fields, byte for byte what a per-value `%.17g` writer gives. The readers
 (here and in datagen) parse a whole body with one np.loadtxt call and
 rescan the text line by line only to name the first bad line.
+
+A dataset CSV may have a binary copy of its arrays beside it, keyed by
+the digest of the CSV's bytes, so that a reader can skip the parse when
+the CSV is exactly the one the copy was written with.
 """
 
+import contextlib
+import hashlib
 import itertools
+import os
+import secrets
 import struct
 from pathlib import Path
 from typing import Optional, Sequence, Union
@@ -26,6 +34,82 @@ PathLike = Union[str, Path]
 CHECKPOINT_MAGIC = b"MUCK"
 CHECKPOINT_VERSION = 1
 _FLAG_NORMALIZE = 1
+
+DATASET_COPY_MAGIC = b"MUCD"
+DATASET_COPY_VERSION = 1
+# magic, version, blake2b digest of the CSV bytes, n, d
+_COPY_HEAD = struct.Struct("<4sI64sQQ")
+_DIGEST_CHUNK = 1 << 20
+
+
+@contextlib.contextmanager
+def atomic_write(path: PathLike, mode: str = "wb", **open_kw):
+    """Open a new temp file in path's directory for writing and, once the
+    block exits cleanly, os.replace it onto path; if the block raises, the
+    temp file is removed and path is left as it was. This guards against an
+    interrupted process, not against power loss: nothing is fsynced."""
+    path = os.fspath(path)
+    tmp = f"{path}.{secrets.token_hex(8)}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with os.fdopen(fd, mode, **open_kw) as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
+
+
+def file_digest(path: PathLike) -> bytes:
+    """blake2b digest of a file's bytes, read in fixed 1 MiB chunks."""
+    h = hashlib.blake2b()
+    buf = bytearray(_DIGEST_CHUNK)
+    view = memoryview(buf)
+    with open(path, "rb") as f:
+        while n := f.readinto(buf):
+            h.update(view[:n])
+    return h.digest()
+
+
+def save_dataset_copy(path: PathLike, digest: bytes, ids: np.ndarray,
+                      labels: np.ndarray, samples: np.ndarray) -> None:
+    """Write a dataset's arrays in binary, keyed by the digest of its CSV.
+
+    Layout (all little-endian): 4-byte magic, uint32 version, 64-byte
+    blake2b digest of the CSV file's bytes, uint64 n, uint64 d, then ids
+    and labels as int64 and the (n, d) samples as row-major float64.
+    """
+    n, d = samples.shape
+    with atomic_write(path) as f:
+        f.write(_COPY_HEAD.pack(DATASET_COPY_MAGIC, DATASET_COPY_VERSION, digest, n, d))
+        for arr, dtype in ((ids, "<i8"), (labels, "<i8"), (samples, "<f8")):
+            f.write(np.ascontiguousarray(arr, dtype=dtype).reshape(-1).data)
+
+
+def load_dataset_copy(path: PathLike, digest: bytes, width: int):
+    """The (ids, labels, samples) of a binary dataset copy, or None unless
+    the copy exists and its magic, version, digest and width d all match
+    and its length is exactly that of n rows. The values are not checked."""
+    try:
+        with open(path, "rb") as f:
+            head = f.read(_COPY_HEAD.size)
+            if len(head) != _COPY_HEAD.size:
+                return None
+            magic, version, got, n, d = _COPY_HEAD.unpack(head)
+            expected = (DATASET_COPY_MAGIC, DATASET_COPY_VERSION, digest, width)
+            size = _COPY_HEAD.size + 8 * n * (d + 2)
+            # the length is checked before reading, so a garbled n allocates nothing
+            if (magic, version, got, d) != expected or os.fstat(f.fileno()).st_size != size:
+                return None
+            ids = np.fromfile(f, dtype="<i8", count=n)
+            labels = np.fromfile(f, dtype="<i8", count=n)
+            samples = np.fromfile(f, dtype="<f8", count=n * d)
+    except OSError:
+        return None
+    if len(ids) != n or len(labels) != n or len(samples) != n * d:  # shrank after fstat
+        return None
+    return ids, labels, samples.reshape(n, d)
 
 
 def save_encoder(net: EncoderNet, path: PathLike) -> None:

@@ -204,10 +204,29 @@ class TestPipeline:
             assert main(["audit", "--config", cfg, "--out", str(out),
                          "--before", str(out / "encoder.bin"),
                          "--after", str(out / "unlearned.bin")]) == EXIT_OK
-        for name in ("dataset.csv", "splits.csv", "encoder.bin", "retrain.bin",
-                     "unlearned.bin", "report.txt", "report.csv",
+        for name in ("dataset.csv", "dataset.csv.bin", "splits.csv", "encoder.bin",
+                     "retrain.bin", "unlearned.bin", "report.txt", "report.csv",
                      "agm.csv", "agm.pgm", "audit.txt"):
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+    def test_dataset_copy_does_not_change_results(self, tmp_path):
+        cfg = tiny_cfg(tmp_path)
+        runs = {}
+        for name, keep_copy in (("copy", True), ("csv", False)):
+            out = tmp_path / name
+            for cmd in ("gen-data", "split"):
+                assert main([cmd, "--config", cfg, "--out", str(out)]) == EXIT_OK
+            if not keep_copy:
+                (out / "dataset.csv.bin").unlink()
+            for cmd in ("pretrain", "unlearn"):
+                assert main([cmd, "--config", cfg, "--out", str(out)]) == EXIT_OK
+            assert main(["eval", "--config", cfg, "--out", str(out),
+                         "--candidate", str(out / "unlearned.bin"),
+                         "--before", str(out / "encoder.bin")]) == EXIT_OK
+            assert (out / "dataset.csv.bin").exists() == keep_copy
+            runs[name] = out
+        for name in ("encoder.bin", "unlearned.bin", "report.txt"):
+            assert (runs["copy"] / name).read_bytes() == (runs["csv"] / name).read_bytes(), name
 
 
 class TestAudit:
@@ -298,10 +317,12 @@ class TestReportAndSweep:
                    "--set", "sweep.negpair_weights=0,1",
                    "--set", "sweep.forget_weights=0,8"])
         assert rc == EXIT_OK
-        lines = (out / "fs_ratio_grid.csv").read_text().strip().splitlines()
+        lines = (out / "fs_gap_grid.csv").read_text().strip().splitlines()
         assert lines[0] == "alpha/beta,0,8"
         assert len(lines) == 3
         assert all(len(ln.split(",")) == 3 for ln in lines[1:])
+        assert all(np.isfinite(float(v)) for ln in lines[1:] for v in ln.split(",")[1:])
+        assert not (out / "fs_ratio_grid.csv").exists()
         for a in ("0", "1"):
             for b in ("0", "8"):
                 assert (out / "sweep" / f"a{a}_b{b}" / "unlearned.bin").exists()

@@ -1,11 +1,13 @@
 import csv
+import hashlib
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from unlearnlab import seeds
+from unlearnlab import datagen, seeds
 from unlearnlab.datagen import (
     AugmentorConfig,
     LabeledDataset,
@@ -22,6 +24,7 @@ from unlearnlab.datagen import (
     split,
 )
 from unlearnlab.errors import ConfigurationError, DataFormatError
+from unlearnlab.persist import file_digest, save_dataset_copy
 
 
 class TestSynthetic:
@@ -465,3 +468,127 @@ class TestSerialization:
         p.write_text("id,part\n0,retain\n1,bogus\n")
         with pytest.raises(DataFormatError):
             load_splits(str(p))
+
+
+class TestDatasetCopy:
+    """save_dataset leaves `<csv>.bin` beside the CSV; load_dataset uses it
+    only when it was written with exactly these CSV bytes."""
+
+    def _parses(self, monkeypatch) -> list:
+        """Record every CSV body parse load_dataset makes."""
+        calls, real = [], datagen._read_id_rows
+        monkeypatch.setattr(datagen, "_read_id_rows",
+                            lambda path, *a, **kw: calls.append(path) or real(path, *a, **kw))
+        return calls
+
+    def _saved(self, tmp_path, data=None):
+        if data is None:
+            data = LabeledDataset(np.array([[0.5, 1.0], [-0.0, 5e-324], [1e300, 0.25]]),
+                                  [1, 0, 1], [7, -3, 2**40])
+        path = tmp_path / "data.csv"
+        save_dataset(data, str(path))
+        return data, path, Path(f"{path}.bin")
+
+    @pytest.mark.parametrize("data", [
+        gen_synthetic(3, 5, 40, 5.0, seed=3),
+        LabeledDataset(np.random.default_rng(4).random((6, 3072)), np.arange(6) % 2,
+                       np.arange(6)[::-1]),
+    ], ids=["vector", "wide"])
+    def test_copy_equals_csv_parse_bitwise(self, tmp_path, monkeypatch, data):
+        _, path, copy = self._saved(tmp_path, data)
+        parses = self._parses(monkeypatch)
+        fast = load_dataset(str(path))
+        assert parses == []
+        copy.unlink()
+        parsed = load_dataset(str(path))
+        assert len(parses) == 1
+        for name in ("ids", "labels", "samples"):
+            a, b = getattr(fast, name), getattr(parsed, name)
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+            assert a.flags.c_contiguous and a.flags.writeable
+
+    def test_copy_layout(self, tmp_path):
+        data, path, copy = self._saved(tmp_path)
+        blob = copy.read_bytes()
+        assert blob[:4] == b"MUCD" and blob[4:8] == (1).to_bytes(4, "little")
+        assert blob[8:72] == hashlib.blake2b(path.read_bytes()).digest()
+        assert blob[72:88] == (3).to_bytes(8, "little") + (2).to_bytes(8, "little")
+        assert blob[88:] == (data.ids.astype("<i8").tobytes() + data.labels.astype("<i8").tobytes()
+                             + data.samples.astype("<f8").tobytes())
+
+    def test_edited_digit_makes_copy_stale(self, tmp_path, monkeypatch):
+        _, path, copy = self._saved(tmp_path)
+        before = copy.read_bytes()
+        blob = path.read_bytes()
+        assert blob.count(b",0.5,") == 1
+        path.write_bytes(blob.replace(b",0.5,", b",0.7,"))
+        parses = self._parses(monkeypatch)
+        assert load_dataset(str(path)).samples[0, 0] == 0.7
+        assert len(parses) == 1 and copy.read_bytes() == before
+
+    _DAMAGE = {
+        "truncated": lambda blob: blob[:-1],
+        "garbled": lambda blob: np.random.default_rng(0).bytes(len(blob)),
+        "wrong magic": lambda blob: b"MUCK" + blob[4:],
+        # n 3 -> 4: the length no longer fits n and d
+        "wrong n": lambda blob: blob[:72] + (4).to_bytes(8, "little") + blob[80:],
+        # (n, d) (3, 2) -> (2, 4): the same length, but d is not the CSV's width
+        "wrong d": lambda blob: (blob[:72] + (2).to_bytes(8, "little")
+                                 + (4).to_bytes(8, "little") + blob[88:]),
+    }
+
+    @pytest.mark.parametrize("damage", list(_DAMAGE))
+    def test_damaged_copy_falls_back_to_csv(self, tmp_path, monkeypatch, damage):
+        data, path, copy = self._saved(tmp_path)
+        copy.write_bytes(self._DAMAGE[damage](copy.read_bytes()))
+        parses = self._parses(monkeypatch)
+        back = load_dataset(str(path))
+        assert len(parses) == 1
+        assert back.ids.tolist() == data.ids.tolist()
+        assert back.samples.tobytes() == data.samples.tobytes()
+
+    @pytest.mark.parametrize("fault", ["nan", "duplicate id", "no rows"])
+    def test_crafted_copy_with_matching_digest_not_trusted(self, tmp_path, monkeypatch, fault):
+        data, path, copy = self._saved(tmp_path)
+        ids, labels, samples = data.ids.copy(), data.labels.copy(), data.samples.copy()
+        if fault == "nan":
+            samples[1, 0] = np.nan
+        elif fault == "duplicate id":
+            ids[2] = ids[0]
+        else:
+            ids, labels, samples = ids[:0], labels[:0], samples[:0]
+        save_dataset_copy(copy, file_digest(path), ids, labels, samples)
+        parses = self._parses(monkeypatch)
+        back = load_dataset(str(path))
+        assert len(parses) == 1
+        assert back.ids.tolist() == data.ids.tolist()
+        assert back.samples.tobytes() == data.samples.tobytes()
+
+    def test_reader_without_copy_writes_nothing(self, tmp_path):
+        p = tmp_path / "plain.csv"
+        p.write_text("id,label,dim0\n0,1,0.5\n1,0,0.25\n")
+        listing = sorted(tmp_path.iterdir())
+        assert load_dataset(str(p)).samples.tolist() == [[0.5], [0.25]]
+        assert sorted(tmp_path.iterdir()) == listing
+
+    @pytest.mark.parametrize("old, new, line, match", [
+        (b",0.5,", b",abc,", 2, "'abc' to float64"),
+        (b",0.5,", b",nan,", 2, "non-finite"),
+        (b"\r\n-3,", b"\r\n\r\n-3,", 3, "blank line"),
+        (b"\r\n-3,", b"\r\n-3.5,", 3, "'-3.5' to int64"),
+    ])
+    def test_corrupted_csv_with_copy_still_names_line(self, tmp_path, old, new, line, match):
+        _, path, copy = self._saved(tmp_path)
+        blob = path.read_bytes()
+        assert blob.count(old) == 1
+        path.write_bytes(blob.replace(old, new))
+        with pytest.raises(DataFormatError, match=rf"data\.csv:{line}: .*{match}"):
+            load_dataset(str(path))
+        assert copy.exists()
+
+    def test_writer_replaces_stale_copy(self, tmp_path):
+        _, path, _ = self._saved(tmp_path)
+        other = gen_synthetic(3, 2, 9, 5.0, seed=1)
+        save_dataset(other, str(path))
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv", "data.csv.bin"]
+        assert load_dataset(str(path)).samples.tobytes() == other.samples.tobytes()

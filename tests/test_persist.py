@@ -4,6 +4,7 @@ import pytest
 from unlearnlab.diffcore import DenseLayer, EncoderNet, encoder_forward, init_encoder
 from unlearnlab.errors import DataFormatError
 from unlearnlab.persist import (
+    atomic_write,
     load_encoder,
     read_feature_dump,
     save_encoder,
@@ -253,3 +254,27 @@ class TestSymmetricRange:
 
     def test_all_zero_placeholder(self):
         assert symmetric_range(np.zeros((3, 3))) == (-1.0, 1.0)
+
+
+class TestAtomicWrite:
+    def test_replaces_target_whole(self, tmp_path):
+        p = tmp_path / "out.txt"
+        p.write_text("old")
+        with atomic_write(p, "w") as f:
+            f.write("new")
+            assert p.read_text() == "old"
+        assert p.read_text() == "new"
+        assert [q.name for q in tmp_path.iterdir()] == ["out.txt"]
+
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_writer_raising_midway_leaves_no_file(self, tmp_path, existing):
+        p = tmp_path / "out.bin"
+        if existing:
+            p.write_bytes(b"old")
+        with pytest.raises(RuntimeError, match="midway"):
+            with atomic_write(p) as f:
+                f.write(b"partial")
+                raise RuntimeError("midway")
+        assert [q.name for q in tmp_path.iterdir()] == (["out.bin"] if existing else [])
+        if existing:
+            assert p.read_bytes() == b"old"
