@@ -242,8 +242,11 @@ def pretrain_on_ids(
         for step, chunk in enumerate(batch_chunks(perm, cfg.batch_size)):
             xs, ys = paired_views_for_ids(data, chunk, aug, cfg.seed, epoch, block)
             loss, grads = loss_and_grads(net, np.vstack([xs, ys]), loss_fn)
-            if not np.isfinite(loss) or not grads.all_finite():
-                raise NumericError(f"non-finite loss/grads at epoch {epoch} step {step}")
-            sgd_momentum_step(net, grads, opt)
+            try:  # the optimizer rejects a non-finite gradient before writing
+                if not np.isfinite(loss):
+                    raise NumericError("non-finite loss")
+                sgd_momentum_step(net, grads, opt)
+            except NumericError as exc:
+                raise NumericError(f"non-finite loss/grads at epoch {epoch} step {step}") from exc
         del block  # free it before the next epoch's block is drawn
     return net

@@ -277,21 +277,23 @@ def _jitter(x: np.ndarray, scale, noise: np.ndarray, drop: np.ndarray,
 
 
 _SPAN = np.arange(32)
+# offset of each channel's plane in a padded (3, 40, 40) image
+_PLANES = np.arange(3)[:, None, None] * (40 * 40)
 
 
 def _crop_flip(imgs: np.ndarray, top: np.ndarray, left: np.ndarray,
                flip: np.ndarray) -> np.ndarray:
     """Image-mode views of m flattened 3x32x32 images: pad 4 zero pixels,
     crop 32x32 at (top, left) and mirror the columns where flip is set,
-    as one gather over the batch."""
+    as one flat take from the padded batch."""
     m = imgs.shape[0]
     padded = np.zeros((m, 3, 40, 40))
     padded[:, :, 4:36, 4:36] = imgs.reshape(m, 3, 32, 32)
     rows = top[:, None] + _SPAN
     cols = left[:, None] + np.where(flip[:, None], 31 - _SPAN, _SPAN)
-    out = padded[np.arange(m)[:, None, None, None], np.arange(3)[None, :, None, None],
-                 rows[:, None, :, None], cols[:, None, None, :]]
-    return out.reshape(m, CIFAR_PIXELS)
+    at = (np.arange(m)[:, None, None] * (3 * 40 * 40) + rows[:, :, None] * 40
+          + cols[:, None, :])  # (m, 32, 32): a pixel's offset in channel 0
+    return padded.reshape(-1).take(at[:, None] + _PLANES).reshape(m, CIFAR_PIXELS)
 
 
 def _check_image_dim(dim: int) -> None:
@@ -435,7 +437,7 @@ def _trusted_copy(path, width: int) -> LabeledDataset | None:
 
 def load_dataset(path: str) -> LabeledDataset:
     """Read a dataset CSV. When `<path>.bin` is a copy written with these
-    exact CSV bytes (same blake2b digest and width), its arrays are used;
+    exact CSV bytes (same sha256 digest and width), its arrays are used;
     otherwise the body is parsed by one np.loadtxt call: ids and labels
     must be integers, fields may be quoted, and a blank line or any other
     malformed line is rejected with its line number. Never writes."""
@@ -470,7 +472,7 @@ def save_splits(splits: Splits, path: str) -> None:
     for part in _SPLIT_PARTS:
         pairs.extend((int(i), part) for i in getattr(splits, part))
     pairs.sort()
-    with open(path, "w", newline="") as f:
+    with atomic_write(path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["id", "part"])
         w.writerows(pairs)

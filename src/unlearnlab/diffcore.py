@@ -26,6 +26,10 @@ NORM_FLOOR = 1e-12
 # LossFn: features (n, d) -> (scalar value, gradient w.r.t. features)
 LossFn = Callable[[np.ndarray], tuple[float, np.ndarray]]
 
+# float64 elements per block of the momentum update (256 KiB): a block of
+# the parameter, gradient, buffer and scratch stays in L2 cache.
+_OPT_BLOCK = 1 << 15
+
 
 @dataclass
 class DenseLayer:
@@ -228,12 +232,14 @@ def _backward(net: EncoderNet, cache, z: np.ndarray, dfeats: np.ndarray) -> Grad
     else:
         delta = dfeats
     n_layers = len(net.layers)
-    grads = GradSet.zeros_like(net)
+    # every entry is written below, straight into the arrays returned
+    grads = GradSet([np.empty_like(la.w) for la in net.layers],
+                    [np.empty_like(la.b) for la in net.layers])
     for i in range(n_layers - 1, -1, -1):
         # delta holds d loss / d (output of layer i, after any rectifier)
         da = delta * (pre[i] > 0) if i < n_layers - 1 else delta
-        grads.weights[i][...] = inputs[i].T @ da
-        grads.biases[i][...] = da.sum(axis=0)
+        np.matmul(inputs[i].T, da, out=grads.weights[i])
+        np.sum(da, axis=0, out=grads.biases[i])
         if i > 0:
             delta = da @ net.layers[i].w.T
     return grads
@@ -258,9 +264,26 @@ def cosine_lr(step: int, total_steps: int, base_lr: float) -> float:
     return base_lr * 0.5 * (1.0 + math.cos(math.pi * step / total_steps))
 
 
+def _momentum_update(p, g, buf, tmp, momentum: float, weight_decay: float,
+                     lr: float) -> None:
+    """buf <- m*buf + g + wd*p, then p <- p - lr*buf, in place; the two
+    products go through tmp, an array of p's shape."""
+    buf *= momentum
+    buf += g
+    if weight_decay != 0.0:
+        buf += np.multiply(weight_decay, p, out=tmp)
+    p -= np.multiply(lr, buf, out=tmp)
+
+
 def sgd_momentum_step(net: EncoderNet, grads: GradSet, opt: OptState) -> None:
     """One in-place update.  Buffer <- m*buffer + grad + wd*param, then
-    param <- param - lr(step)*buffer, then step advances."""
+    param <- param - lr(step)*buffer, then step advances.  Raises
+    NumericError, before anything is written, on a non-finite gradient.
+
+    A C-contiguous array is updated in blocks of _OPT_BLOCK elements, so
+    its parameter, gradient and buffer are each read once and no temporary
+    of its size is made; every element sees the same operations in the
+    same order as in a whole-array update, so the result is the same."""
     params = net.param_arrays()
     garrs = grads.arrays()
     if len(params) != len(garrs):
@@ -273,12 +296,17 @@ def sgd_momentum_step(net: EncoderNet, grads: GradSet, opt: OptState) -> None:
     if opt.buffers is None:
         opt.buffers = [np.zeros_like(p) for p in params]
     lr = cosine_lr(opt.step, opt.total_steps, opt.base_lr)
+    hyper = (opt.momentum, opt.weight_decay, lr)
+    scratch = np.empty(min(_OPT_BLOCK, max(p.size for p in params)))
     for p, g, buf in zip(params, garrs, opt.buffers):
-        buf *= opt.momentum
-        buf += g
-        if opt.weight_decay != 0.0:
-            buf += opt.weight_decay * p
-        p -= lr * buf
+        if not (p.flags.c_contiguous and g.flags.c_contiguous and buf.flags.c_contiguous):
+            # no flat views to block over: update the array whole
+            _momentum_update(p, g, buf, np.empty_like(p), *hyper)
+            continue
+        p, g, buf = p.reshape(-1), g.reshape(-1), buf.reshape(-1)
+        for lo in range(0, p.size, _OPT_BLOCK):
+            hi = min(lo + _OPT_BLOCK, p.size)
+            _momentum_update(p[lo:hi], g[lo:hi], buf[lo:hi], scratch[:hi - lo], *hyper)
     opt.step += 1
 
 

@@ -455,9 +455,12 @@ def linear_probe(
             take = perm[chunk]
             loss_fn = softmax_xent_loss_fn(labels[take], num_classes)
             loss, grads = loss_and_grads(head, feats[take], loss_fn)
-            if not np.isfinite(loss) or not grads.all_finite():
-                raise NumericError(f"non-finite probe loss at epoch {epoch}")
-            sgd_momentum_step(head, grads, opt)
+            try:  # the optimizer rejects a non-finite gradient before writing
+                if not np.isfinite(loss):
+                    raise NumericError("non-finite loss")
+                sgd_momentum_step(head, grads, opt)
+            except NumericError as exc:
+                raise NumericError(f"non-finite probe loss at epoch {epoch}") from exc
     return head
 
 

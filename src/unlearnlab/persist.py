@@ -36,9 +36,9 @@ CHECKPOINT_VERSION = 1
 _FLAG_NORMALIZE = 1
 
 DATASET_COPY_MAGIC = b"MUCD"
-DATASET_COPY_VERSION = 1
-# magic, version, blake2b digest of the CSV bytes, n, d
-_COPY_HEAD = struct.Struct("<4sI64sQQ")
+DATASET_COPY_VERSION = 2  # version 1 carried a 64-byte blake2b digest
+# magic, version, sha256 digest of the CSV bytes, n, d
+_COPY_HEAD = struct.Struct("<4sI32sQQ")
 _DIGEST_CHUNK = 1 << 20
 
 
@@ -50,7 +50,10 @@ def atomic_write(path: PathLike, mode: str = "wb", **open_kw):
     interrupted process, not against power loss: nothing is fsynced."""
     path = os.fspath(path)
     tmp = f"{path}.{secrets.token_hex(8)}.tmp"
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError as exc:  # say which file could not be written, not the temp name
+        raise type(exc)(exc.errno, exc.strerror, path) from None
     try:
         with os.fdopen(fd, mode, **open_kw) as f:
             yield f
@@ -62,8 +65,9 @@ def atomic_write(path: PathLike, mode: str = "wb", **open_kw):
 
 
 def file_digest(path: PathLike) -> bytes:
-    """blake2b digest of a file's bytes, read in fixed 1 MiB chunks."""
-    h = hashlib.blake2b()
+    """sha256 digest of a file's bytes, read in fixed 1 MiB chunks
+    (sha256 is hardware-accelerated on most CPUs, where it outruns blake2b)."""
+    h = hashlib.sha256()
     buf = bytearray(_DIGEST_CHUNK)
     view = memoryview(buf)
     with open(path, "rb") as f:
@@ -76,8 +80,8 @@ def save_dataset_copy(path: PathLike, digest: bytes, ids: np.ndarray,
                       labels: np.ndarray, samples: np.ndarray) -> None:
     """Write a dataset's arrays in binary, keyed by the digest of its CSV.
 
-    Layout (all little-endian): 4-byte magic, uint32 version, 64-byte
-    blake2b digest of the CSV file's bytes, uint64 n, uint64 d, then ids
+    Layout (all little-endian): 4-byte magic, uint32 version, 32-byte
+    sha256 digest of the CSV file's bytes, uint64 n, uint64 d, then ids
     and labels as int64 and the (n, d) samples as row-major float64.
     """
     n, d = samples.shape
@@ -118,7 +122,8 @@ def save_encoder(net: EncoderNet, path: PathLike) -> None:
     Layout (all little-endian): 4-byte magic, uint32 version, uint32
     layer count, per layer a (uint32 in, uint32 out) pair, uint32 flags
     (bit 0: output normalization), then per layer the weight matrix in
-    row-major float64 followed by the bias vector.
+    row-major float64 followed by the bias vector. The file is replaced
+    whole, and each array is written from its own buffer, uncopied.
     """
     head = [CHECKPOINT_MAGIC, struct.pack("<I", CHECKPOINT_VERSION),
             struct.pack("<I", len(net.layers))]
@@ -126,35 +131,46 @@ def save_encoder(net: EncoderNet, path: PathLike) -> None:
         head.append(struct.pack("<II", layer.w.shape[0], layer.w.shape[1]))
     flags = _FLAG_NORMALIZE if net.normalize_output else 0
     head.append(struct.pack("<I", flags))
-    body = []
-    for layer in net.layers:
-        body.append(np.ascontiguousarray(layer.w, dtype="<f8").tobytes())
-        body.append(np.ascontiguousarray(layer.b, dtype="<f8").tobytes())
-    Path(path).write_bytes(b"".join(head) + b"".join(body))
+    with atomic_write(path) as f:
+        f.write(b"".join(head))
+        for layer in net.layers:
+            for arr in (layer.w, layer.b):
+                f.write(np.ascontiguousarray(arr, dtype="<f8").reshape(-1).data)
 
 
 class _Cursor:
     """Byte reader that reports the offset of whatever failed."""
 
-    def __init__(self, blob: bytes):
+    def __init__(self, blob: np.ndarray):
         self.blob = blob
         self.pos = 0
 
-    def take(self, n: int, what: str) -> bytes:
+    def skip(self, n: int, what: str) -> int:
+        """Advance past n bytes; returns where they start."""
         if self.pos + n > len(self.blob):
             raise DataFormatError(
                 f"checkpoint truncated at byte {self.pos}: "
                 f"needed {n} bytes for {what}, have {len(self.blob) - self.pos}")
-        out = self.blob[self.pos:self.pos + n]
         self.pos += n
-        return out
+        return self.pos - n
+
+    def take(self, n: int, what: str) -> bytes:
+        at = self.skip(n, what)
+        return bytes(self.blob[at:at + n])
 
     def u32(self, what: str) -> int:
         return struct.unpack("<I", self.take(4, what))[0]
 
+    def f8(self, count: int, what: str) -> np.ndarray:
+        """The next count little-endian float64 values, a view of the blob."""
+        at = self.skip(8 * count, what)
+        return self.blob[at:at + 8 * count].view("<f8")
+
 
 def load_encoder(path: PathLike) -> EncoderNet:
-    cur = _Cursor(Path(path).read_bytes())
+    """Read a checkpoint written by save_encoder. The file is read once,
+    into one array whose slices become the weights and biases."""
+    cur = _Cursor(np.fromfile(path, dtype=np.uint8))
     magic = cur.take(4, "magic")
     if magic != CHECKPOINT_MAGIC:
         raise DataFormatError(
@@ -180,10 +196,8 @@ def load_encoder(path: PathLike) -> EncoderNet:
         raise DataFormatError(f"unknown flag bits {flags:#x} at byte {cur.pos - 4}")
     layers = []
     for i, (n_in, n_out) in enumerate(shapes):
-        wb = cur.take(8 * n_in * n_out, f"layer {i} weights")
-        w = np.frombuffer(wb, dtype="<f8").reshape(n_in, n_out).copy()
-        bb = cur.take(8 * n_out, f"layer {i} biases")
-        b = np.frombuffer(bb, dtype="<f8").copy()
+        w = cur.f8(n_in * n_out, f"layer {i} weights").reshape(n_in, n_out)
+        b = cur.f8(n_out, f"layer {i} biases")
         layers.append(DenseLayer(w, b))
     if cur.pos != len(cur.blob):
         raise DataFormatError(

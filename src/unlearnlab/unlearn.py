@@ -369,9 +369,12 @@ def _run_unlearn_sgd(
                     grads.scale(-1.0)
                 elif l1_coeff > 0.0:
                     loss += _add_l1_subgradient(net, grads, l1_coeff)
-            if not np.isfinite(loss) or not grads.all_finite():
-                raise NumericError(f"non-finite loss/grads at epoch {epoch} step {step}")
-            sgd_momentum_step(net, grads, opt)
+            try:  # the optimizer rejects a non-finite gradient before writing
+                if not np.isfinite(loss):
+                    raise NumericError("non-finite loss")
+                sgd_momentum_step(net, grads, opt)
+            except NumericError as exc:
+                raise NumericError(f"non-finite loss/grads at epoch {epoch} step {step}") from exc
         del block  # free it before the next epoch's block is drawn
     return net
 

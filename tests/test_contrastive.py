@@ -14,7 +14,7 @@ from unlearnlab.contrastive import (
 )
 from unlearnlab.datagen import AugmentorConfig, gen_synthetic, split
 from unlearnlab.diffcore import encoder_forward, finite_diff_check, init_encoder
-from unlearnlab.errors import ConfigurationError
+from unlearnlab.errors import ConfigurationError, NumericError
 
 
 def unit_rows(a):
@@ -194,6 +194,27 @@ class TestPretrain:
         assert steps_per_epoch(len(splits.train), 8) > 1
         pretrain(data, splits, cfg, [6, 8, 4], AugmentorConfig())
         assert draws == [0, 1, 2]
+
+    @pytest.mark.parametrize("poison", ["gradient", "loss"])
+    def test_non_finite_step_named(self, monkeypatch, poison):
+        data, splits = self._tiny()
+        spe = steps_per_epoch(len(splits.train), 16)
+        real, calls = contrastive.loss_and_grads, []
+
+        def poisoned(*args):
+            loss, grads = real(*args)
+            calls.append(1)
+            if len(calls) == spe + 2:  # epoch 1, step 1
+                if poison == "gradient":
+                    grads.biases[-1][-1] = np.nan
+                else:
+                    loss = np.inf
+            return loss, grads
+
+        monkeypatch.setattr(contrastive, "loss_and_grads", poisoned)
+        cfg = ContrastiveConfig(epochs=2, seed=1, batch_size=16)
+        with pytest.raises(NumericError, match=r"non-finite loss/grads at epoch 1 step 1$"):
+            pretrain(data, splits, cfg, [6, 8, 4], AugmentorConfig())
 
     def test_arch_mismatch_rejected(self):
         data, splits = self._tiny()

@@ -510,11 +510,26 @@ class TestDatasetCopy:
     def test_copy_layout(self, tmp_path):
         data, path, copy = self._saved(tmp_path)
         blob = copy.read_bytes()
-        assert blob[:4] == b"MUCD" and blob[4:8] == (1).to_bytes(4, "little")
-        assert blob[8:72] == hashlib.blake2b(path.read_bytes()).digest()
-        assert blob[72:88] == (3).to_bytes(8, "little") + (2).to_bytes(8, "little")
-        assert blob[88:] == (data.ids.astype("<i8").tobytes() + data.labels.astype("<i8").tobytes()
+        assert blob[:4] == b"MUCD" and blob[4:8] == (2).to_bytes(4, "little")
+        assert blob[8:40] == hashlib.sha256(path.read_bytes()).digest()
+        assert blob[40:56] == (3).to_bytes(8, "little") + (2).to_bytes(8, "little")
+        assert blob[56:] == (data.ids.astype("<i8").tobytes() + data.labels.astype("<i8").tobytes()
                              + data.samples.astype("<f8").tobytes())
+
+    def test_version_1_copy_falls_back_to_csv(self, tmp_path, monkeypatch):
+        # version 1 keyed the copy by the CSV's 64-byte blake2b digest; a
+        # version-1 copy of other values proves it is not read
+        data, path, copy = self._saved(tmp_path)
+        v1 = (b"MUCD" + (1).to_bytes(4, "little") + hashlib.blake2b(path.read_bytes()).digest()
+              + (3).to_bytes(8, "little") + (2).to_bytes(8, "little")
+              + data.ids.astype("<i8").tobytes() + data.labels.astype("<i8").tobytes()
+              + (data.samples + 1.0).astype("<f8").tobytes())
+        copy.write_bytes(v1)
+        parses = self._parses(monkeypatch)
+        back = load_dataset(str(path))
+        assert len(parses) == 1
+        assert back.samples.tobytes() == data.samples.tobytes()
+        assert copy.read_bytes() == v1
 
     def test_edited_digit_makes_copy_stale(self, tmp_path, monkeypatch):
         _, path, copy = self._saved(tmp_path)
@@ -531,10 +546,10 @@ class TestDatasetCopy:
         "garbled": lambda blob: np.random.default_rng(0).bytes(len(blob)),
         "wrong magic": lambda blob: b"MUCK" + blob[4:],
         # n 3 -> 4: the length no longer fits n and d
-        "wrong n": lambda blob: blob[:72] + (4).to_bytes(8, "little") + blob[80:],
+        "wrong n": lambda blob: blob[:40] + (4).to_bytes(8, "little") + blob[48:],
         # (n, d) (3, 2) -> (2, 4): the same length, but d is not the CSV's width
-        "wrong d": lambda blob: (blob[:72] + (2).to_bytes(8, "little")
-                                 + (4).to_bytes(8, "little") + blob[88:]),
+        "wrong d": lambda blob: (blob[:40] + (2).to_bytes(8, "little")
+                                 + (4).to_bytes(8, "little") + blob[56:]),
     }
 
     @pytest.mark.parametrize("damage", list(_DAMAGE))

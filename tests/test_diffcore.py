@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from unlearnlab.diffcore import (
+    _OPT_BLOCK,
     DenseLayer,
     EncoderNet,
     GradSet,
@@ -175,6 +177,118 @@ class TestOptimizer:
             OptState(base_lr=0.1, momentum=1.0, total_steps=1)
         with pytest.raises(ConfigurationError):
             OptState(base_lr=0.1, total_steps=0)
+
+
+class TestBlockedMomentum:
+    """The momentum update runs in blocks of _OPT_BLOCK elements; it must
+    equal the plain whole-array update bit for bit."""
+
+    @staticmethod
+    def _net(size, rng):
+        # one layer whose weight and bias both hold `size` elements
+        return EncoderNet([DenseLayer(rng.normal(size=(1, size)), rng.normal(size=size))],
+                          normalize_output=False)
+
+    @staticmethod
+    def _grads(size, rng):
+        return GradSet([rng.normal(size=(1, size))], [rng.normal(size=size)])
+
+    @pytest.mark.parametrize("size", [1, _OPT_BLOCK - 1, _OPT_BLOCK, _OPT_BLOCK + 1,
+                                      3 * _OPT_BLOCK + 5])
+    @pytest.mark.parametrize("wd", [0.0, 5e-4])
+    def test_equals_unblocked_reference(self, size, wd):
+        rng = np.random.default_rng(size)
+        net = self._net(size, rng)
+        params = [a.copy() for a in net.param_arrays()]
+        bufs = [np.zeros_like(a) for a in params]
+        opt = OptState(base_lr=0.1, momentum=0.9, weight_decay=wd, total_steps=5)
+        for step in range(3):
+            grads = self._grads(size, rng)
+            lr = cosine_lr(step, 5, 0.1)
+            for p, g, buf in zip(params, grads.arrays(), bufs):
+                buf[...] = 0.9 * buf + g + wd * p
+                p -= lr * buf
+            sgd_momentum_step(net, grads, opt)
+        assert opt.step == 3
+        for got, want in zip(net.param_arrays() + opt.buffers, params + bufs):
+            assert got.tobytes() == want.tobytes()
+
+    def test_nan_in_last_block_writes_nothing(self):
+        size = 3 * _OPT_BLOCK + 5
+        rng = np.random.default_rng(0)
+        net = self._net(size, rng)
+        opt = OptState(base_lr=0.1, momentum=0.9, weight_decay=1e-3, total_steps=4)
+        sgd_momentum_step(net, self._grads(size, rng), opt)
+        params = [a.copy() for a in net.param_arrays()]
+        bufs = [a.copy() for a in opt.buffers]
+        bad = self._grads(size, rng)
+        bad.biases[-1][-1] = np.nan
+        with pytest.raises(NumericError):
+            sgd_momentum_step(net, bad, opt)
+        assert opt.step == 1
+        for got, want in zip(net.param_arrays() + opt.buffers, params + bufs):
+            assert got.tobytes() == want.tobytes()
+
+    def test_non_contiguous_arrays_updated_whole(self):
+        rng = np.random.default_rng(1)
+        w = np.asfortranarray(rng.normal(size=(3, 4)))
+        net = EncoderNet([DenseLayer(w, np.zeros(4))], normalize_output=False)
+        g = GradSet([rng.normal(size=(4, 3)).T], [rng.normal(size=4)])
+        want = w - 0.1 * g.weights[0]
+        sgd_momentum_step(net, g, OptState(base_lr=0.1, total_steps=1))
+        assert net.layers[0].w is w
+        assert np.array_equal(w, want)
+
+
+class TestGradientBuffers:
+    def test_successive_calls_do_not_alias(self):
+        # NegGrad holds the retain and the unlearn gradients at once
+        net = init_encoder([4, 6, 3], seed=0)
+        rng = np.random.default_rng(1)
+        x, y, w = rng.normal(size=(5, 4)), rng.normal(size=(5, 4)), rng.normal(size=(5, 3))
+        fn = lambda z: (float(np.sum(w * z)), w)
+        _, g1 = loss_and_grads(net, x, fn)
+        kept = [a.copy() for a in g1.arrays()]
+        _, g2 = loss_and_grads(net, y, fn)
+        assert g1 is not g2
+        for a, b, k in zip(g1.arrays(), g2.arrays(), kept):
+            assert not np.shares_memory(a, b)
+            assert np.array_equal(a, k)
+            assert not np.array_equal(a, b)
+
+
+class TestNoFullSizeTemporaries:
+    """numpy reports its buffers to tracemalloc, so the traced peak shows
+    any temporary as large as a parameter."""
+
+    @staticmethod
+    def _peak(fn) -> int:
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @staticmethod
+    def _setup():
+        net = init_encoder([512, 1024, 64], seed=0)
+        rng = np.random.default_rng(0)
+        x, w = rng.normal(size=(16, 512)), rng.normal(size=(16, 64))
+        fn = lambda z: (float(np.sum(w * z)), w)
+        return net, x, fn, sum(a.nbytes for a in net.param_arrays())
+
+    def test_momentum_step(self):
+        net, x, fn, param_bytes = self._setup()
+        _, grads = loss_and_grads(net, x, fn)
+        opt = OptState(base_lr=0.1, weight_decay=1e-3, total_steps=4)
+        sgd_momentum_step(net, grads, opt)  # allocates the momentum buffers
+        assert self._peak(lambda: sgd_momentum_step(net, grads, opt)) <= 0.25 * param_bytes
+
+    def test_loss_and_grads(self):
+        # the returned gradients alone take 1.0x the parameter bytes
+        net, x, fn, param_bytes = self._setup()
+        assert self._peak(lambda: loss_and_grads(net, x, fn)) <= 1.5 * param_bytes
 
 
 class TestCosineSchedule:

@@ -5,10 +5,11 @@ from hypothesis import strategies as st
 from scipy import special as sp_special
 from scipy import stats as sp_stats
 
+from unlearnlab import evalsuite
 from unlearnlab.contrastive import ContrastiveConfig, pretrain
 from unlearnlab.datagen import AugmentorConfig, gen_synthetic, split
 from unlearnlab.diffcore import DenseLayer, EncoderNet, encoder_forward, init_encoder
-from unlearnlab.errors import ConfigurationError
+from unlearnlab.errors import ConfigurationError, NumericError
 from unlearnlab.evalsuite import (
     AlignmentGapMatrix,
     AlignmentMatrix,
@@ -321,6 +322,22 @@ class TestProbe:
         W = np.linalg.solve(X.T @ X + 1e-6 * np.eye(X.shape[1]), X.T @ Y)
         ridge_acc = float(np.mean(np.argmax(X @ W, axis=1) == labels) * 100.0)
         assert abs(ra - ridge_acc) <= 2.0
+
+    def test_non_finite_gradient_epoch_named(self, monkeypatch):
+        data = gen_synthetic(3, 6, 60, 5.0, seed=0)
+        real, calls = evalsuite.loss_and_grads, []
+
+        def poisoned(*args):
+            loss, grads = real(*args)
+            calls.append(1)
+            if len(calls) == 3:  # epoch 1, the probe's second step
+                grads.biases[0][0] = np.nan
+            return loss, grads
+
+        monkeypatch.setattr(evalsuite, "loss_and_grads", poisoned)
+        with pytest.raises(NumericError, match=r"non-finite probe loss at epoch 1$"):
+            linear_probe(identity_encoder(6), data, data.ids, 3,
+                         ProbeConfig(epochs=2, batch_size=32, seed=0))
 
     def test_zero_epochs_returns_init_head(self):
         data = gen_synthetic(3, 6, 60, 5.0, seed=0)

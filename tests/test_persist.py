@@ -1,10 +1,14 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from unlearnlab.diffcore import DenseLayer, EncoderNet, encoder_forward, init_encoder
 from unlearnlab.errors import DataFormatError
 from unlearnlab.persist import (
+    _DIGEST_CHUNK,
     atomic_write,
+    file_digest,
     load_encoder,
     read_feature_dump,
     save_encoder,
@@ -92,6 +96,44 @@ class TestCheckpoint:
         p.write_bytes(head + body)
         with pytest.raises(DataFormatError, match="chain"):
             load_encoder(p)
+
+
+class TestCheckpointBuffers:
+    def test_loaded_arrays_are_own_writable_float64(self, tmp_path):
+        p = tmp_path / "enc.bin"
+        save_encoder(init_encoder([3, 5, 2], seed=1), p)
+        first, second = load_encoder(p), load_encoder(p)
+        for a in first.param_arrays():
+            assert a.dtype == np.float64 and a.flags.c_contiguous and a.flags.writeable
+            for b in second.param_arrays():
+                assert not np.shares_memory(a, b)
+
+    def test_error_messages(self, tmp_path):
+        p = tmp_path / "x.bin"
+        save_encoder(init_encoder([2, 3], seed=0), p)  # 24-byte header + 72 bytes
+        blob = p.read_bytes()
+        cases = [
+            (b"JUNK" + blob[4:], "bad checkpoint magic at byte 0: expected b'MUCK', got b'JUNK'"),
+            (blob[:-5], "checkpoint truncated at byte 72: needed 24 bytes for layer 0 biases,"
+                        " have 19"),
+            (blob + b"\0", "trailing garbage: 1 extra bytes at byte 96"),
+        ]
+        for bad, message in cases:
+            p.write_bytes(bad)
+            with pytest.raises(DataFormatError) as exc:
+                load_encoder(p)
+            assert str(exc.value) == message
+
+    def test_failed_save_keeps_old_checkpoint(self, tmp_path):
+        p = tmp_path / "enc.bin"
+        save_encoder(init_encoder([3, 5, 2], seed=1), p)
+        before = p.read_bytes()
+        net = init_encoder([3, 5, 2], seed=2)
+        net.layers[-1].b = ["not a number"] * 2  # fails after the other arrays are written
+        with pytest.raises(ValueError):
+            save_encoder(net, p)
+        assert p.read_bytes() == before
+        assert [q.name for q in tmp_path.iterdir()] == ["enc.bin"]
 
 
 # Values whose %.17g text is easy to get wrong: signed zero, the smallest
@@ -266,6 +308,12 @@ class TestAtomicWrite:
         assert p.read_text() == "new"
         assert [q.name for q in tmp_path.iterdir()] == ["out.txt"]
 
+    def test_missing_directory_names_target(self, tmp_path):
+        target = tmp_path / "nodir" / "enc.bin"
+        with pytest.raises(FileNotFoundError) as exc:
+            save_encoder(init_encoder([2, 2], seed=0), target)
+        assert exc.value.filename == str(target)
+
     @pytest.mark.parametrize("existing", [False, True])
     def test_writer_raising_midway_leaves_no_file(self, tmp_path, existing):
         p = tmp_path / "out.bin"
@@ -278,3 +326,13 @@ class TestAtomicWrite:
         assert [q.name for q in tmp_path.iterdir()] == (["out.bin"] if existing else [])
         if existing:
             assert p.read_bytes() == b"old"
+
+
+class TestFileDigest:
+    @pytest.mark.parametrize("size", [0, 1, _DIGEST_CHUNK - 1, _DIGEST_CHUNK,
+                                      _DIGEST_CHUNK + 1, 2 * _DIGEST_CHUNK + 3])
+    def test_sha256_of_whole_file_across_chunks(self, tmp_path, size):
+        data = np.random.default_rng(size).bytes(size)
+        p = tmp_path / "blob"
+        p.write_bytes(data)
+        assert file_digest(p) == hashlib.sha256(data).digest()

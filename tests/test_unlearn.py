@@ -13,7 +13,7 @@ from unlearnlab.diffcore import (
     init_encoder,
     loss_and_grads,
 )
-from unlearnlab.errors import ConfigurationError
+from unlearnlab.errors import ConfigurationError, NumericError
 from unlearnlab.unlearn import (
     ACConfig,
     UnlearnMethod,
@@ -202,6 +202,23 @@ class TestRuns:
         assert out is not enc
         for la, lb in zip(out.layers, enc.layers):
             assert np.array_equal(la.w, lb.w)
+
+    def test_non_finite_gradient_step_named(self, monkeypatch):
+        data, splits = tiny_problem()
+        enc = self._pretrained(data, splits)
+        real, calls = unlearn.loss_and_grads, []
+
+        def poisoned(*args):
+            loss, grads = real(*args)
+            calls.append(1)
+            if len(calls) == 2:  # epoch 0, step 1
+                grads.weights[0][0, 0] = np.inf
+            return loss, grads
+
+        monkeypatch.setattr(unlearn, "loss_and_grads", poisoned)
+        cfg = ACConfig(epochs=1, retain_batch=8, unlearn_batch=4)
+        with pytest.raises(NumericError, match=r"non-finite loss/grads at epoch 0 step 1$"):
+            run_ac(enc, data, splits, cfg, AugmentorConfig())
 
     def test_input_encoder_never_mutated(self):
         data, splits = tiny_problem()
