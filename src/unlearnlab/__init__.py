@@ -18,6 +18,7 @@ from .evalsuite import (
     TTestResult,
     alignment_gap,
     alignment_matrix,
+    evaluate,
     forgetting_score,
     full_report,
     gap_report,
@@ -49,6 +50,7 @@ __all__ = [
     "alignment_gap",
     "alignment_matrix",
     "encoder_forward",
+    "evaluate",
     "forgetting_score",
     "full_report",
     "gap_report",

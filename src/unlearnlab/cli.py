@@ -35,7 +35,7 @@ from .evalsuite import (
     alignment_matrix,
     classifier_metrics,
     forgetting_score_from_features,
-    full_report,
+    evaluate,
     gap_report,
     linear_probe,
     neg_alignment_stats,
@@ -43,6 +43,7 @@ from .evalsuite import (
     welch_ttest,
 )
 from .persist import (
+    atomic_write,
     load_encoder,
     read_feature_dump,
     save_encoder,
@@ -192,8 +193,14 @@ def _out_dir(cfg: dict) -> Path:
     return out
 
 
+def _write_text(path: Path, text: str) -> None:
+    """Write a text artifact whole or not at all (see persist.atomic_write)."""
+    with atomic_write(path, "w") as f:
+        f.write(text)
+
+
 def _snapshot(cfg: dict, out: Path, command: str) -> None:
-    (out / f"config.{command}.txt").write_text(format_config(cfg))
+    _write_text(out / f"config.{command}.txt", format_config(cfg))
 
 
 def _require(path: Path, what: str) -> Path:
@@ -297,9 +304,9 @@ def _fmt(v: float) -> str:
 
 def _write_report_files(out: Path, stem: str, metrics: dict) -> None:
     lines = [f"{k}={_fmt(metrics[k])}" for k in REPORT_FIELDS]
-    (out / f"{stem}.txt").write_text("\n".join(lines) + "\n")
+    _write_text(out / f"{stem}.txt", "\n".join(lines) + "\n")
     csv = ",".join(REPORT_FIELDS) + "\n" + ",".join(_fmt(metrics[k]) for k in REPORT_FIELDS) + "\n"
-    (out / f"{stem}.csv").write_text(csv)
+    _write_text(out / f"{stem}.csv", csv)
 
 
 def _read_report(path: Path) -> dict:
@@ -411,13 +418,12 @@ def cmd_probe(cfg: dict, args) -> int:
     enc = load_encoder(_require(enc_path, "encoder checkpoint"))
     num_classes = int(data.labels.max()) + 1
     head = linear_probe(enc, data, splits.retain, num_classes, _probe_config(cfg))
-    save_encoder(head, out / "probe.bin")
     ra, ta, ua = classifier_metrics(enc, head, data, splits)
     lines = [f"ra={_fmt(ra)}", f"ta={_fmt(ta)}", f"ua={_fmt(ua)}"]
-    (out / "probe.txt").write_text("\n".join(lines) + "\n")
+    _write_text(out / "probe.txt", "\n".join(lines) + "\n")
     for line in lines:
         print(line)
-    print(f"wrote {out / 'probe.bin'}")
+    print(f"wrote {out / 'probe.txt'}")
     return EXIT_OK
 
 
@@ -427,22 +433,26 @@ def cmd_eval(cfg: dict, args) -> int:
     data, splits = _load_data_splits(cfg, args)
     candidate = load_encoder(_require(Path(args.candidate), "candidate checkpoint"))
     before = load_encoder(_require(Path(args.before), "pre-unlearning checkpoint"))
-    aug = _aug_config(cfg)
-    probe_cfg = _probe_config(cfg)
-    rep = full_report(candidate, before, data, splits, aug, probe_cfg, cfg["seed"])
+    encoders = {"candidate": candidate}
+    if args.reference:
+        encoders["reference"] = load_encoder(
+            _require(Path(args.reference), "reference checkpoint"))
+    # one pass: both encoders are scored on the same replayed views
+    reports = evaluate(encoders, before, data, splits, _aug_config(cfg), _probe_config(cfg),
+                       cfg["seed"])
+    rep = reports["candidate"]
     _write_report_files(out, "report", rep.metrics())
     for k in REPORT_FIELDS:
         print(f"{k}={_fmt(rep.metrics()[k])}")
     print(f"runtime_seconds={rep.runtime_seconds:.3f}")
     if args.reference:
-        ref_enc = load_encoder(_require(Path(args.reference), "reference checkpoint"))
-        ref = full_report(ref_enc, before, data, splits, aug, probe_cfg, cfg["seed"])
+        ref = reports["reference"]
         _write_report_files(out, "reference_report", ref.metrics())
         gaps = gap_report(rep.metrics(), ref.metrics())
         lines = [f"gap.{k}={_fmt(v)}" for k, v in sorted(gaps.gaps.items())]
         lines.append(f"avg_gap={_fmt(gaps.avg_gap)}")
         lines.append(f"agp={_fmt(gaps.agp)}")
-        (out / "gaps.txt").write_text("\n".join(lines) + "\n")
+        _write_text(out / "gaps.txt", "\n".join(lines) + "\n")
         for line in lines:
             print(line)
     return EXIT_OK
@@ -520,7 +530,7 @@ def cmd_audit(cfg: dict, args) -> int:
             lines.append(f"{tag}_p={_fmt(res.p_value)}")
             lines.append(f"{tag}_reject_05={'yes' if res.p_value < 0.05 else 'no'}")
 
-    (out / "audit.txt").write_text("\n".join(lines) + "\n")
+    _write_text(out / "audit.txt", "\n".join(lines) + "\n")
     for line in lines:
         print(line)
     print(f"wrote {out / 'agm.csv'} and {out / 'agm.pgm'}")
@@ -544,7 +554,7 @@ def cmd_report(cfg: dict, args) -> int:
     lines = [f"gap.{k}={_fmt(v)}" for k, v in sorted(gaps.gaps.items())]
     lines.append(f"avg_gap={_fmt(gaps.avg_gap)}")
     lines.append(f"agp={_fmt(gaps.agp)}")
-    (out / "gaps.txt").write_text("\n".join(lines) + "\n")
+    _write_text(out / "gaps.txt", "\n".join(lines) + "\n")
     for line in lines:
         print(line)
     return EXIT_OK
@@ -592,7 +602,7 @@ def cmd_sweep(cfg: dict, args) -> int:
     it = iter(scores)
     for a in alphas:
         lines.append("%g," % a + ",".join(_fmt(next(it) - fs_ref) for _ in betas))
-    (out / "fs_gap_grid.csv").write_text("\n".join(lines) + "\n")
+    _write_text(out / "fs_gap_grid.csv", "\n".join(lines) + "\n")
     for line in lines:
         print(line)
     print(f"wrote {out / 'fs_gap_grid.csv'}")

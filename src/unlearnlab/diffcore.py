@@ -108,13 +108,6 @@ class GradSet:
     weights: list[np.ndarray]
     biases: list[np.ndarray]
 
-    @staticmethod
-    def zeros_like(net: EncoderNet) -> "GradSet":
-        return GradSet(
-            [np.zeros_like(la.w) for la in net.layers],
-            [np.zeros_like(la.b) for la in net.layers],
-        )
-
     def arrays(self) -> list[np.ndarray]:
         out = []
         for w, b in zip(self.weights, self.biases):

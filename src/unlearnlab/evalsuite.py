@@ -19,6 +19,7 @@ package needs no stats dependency.
 from __future__ import annotations
 
 import math
+import time
 import warnings
 from dataclasses import dataclass
 
@@ -344,40 +345,65 @@ def fit_threshold(member_scores, nonmember_scores) -> tuple[float, float]:
     return float(cands[k]), float(acc[k])
 
 
-def mi_alignment_scores(
-    enc: EncoderNet,
-    data: LabeledDataset,
-    ids,
-    aug: AugmentorConfig,
-    seed: int,
-    n_views: int = 10,
-) -> np.ndarray:
-    """Per-sample mean pairwise cosine across n stochastic views (C(n,2)
-    pairs; 45 for the default 10 views)."""
+# Replayed views per sample in the view-alignment membership attack.
+_MI_N_VIEWS = 10
+
+
+def _mi_views(data: LabeledDataset, ids, aug: AugmentorConfig, seed: int,
+              n_views: int) -> np.ndarray:
+    """n_views replayed MI views of each id, shape (len(ids), n_views, d)."""
     ids = np.asarray(ids, dtype=np.int64)
     if ids.size == 0:
         raise ConfigurationError("need at least one id to score")
     if n_views < 2:
         raise ConfigurationError("n_views must be >= 2")
     rows = data.rows_for(ids)
-    blocks = [
+    return np.stack([
         augment_views(data.samples[row], aug, n_views,
                       seeds.stream_rng(seed, seeds.MI_VIEWS, int(sid)))
         for sid, row in zip(ids, rows)
-    ]
-    z = encoder_forward(enc, np.vstack(blocks)).reshape(ids.size, n_views, -1)
+    ])
+
+
+def _mi_scores(enc: EncoderNet, views: np.ndarray) -> np.ndarray:
+    """Per-sample mean pairwise cosine over the views of _mi_views."""
+    n, n_views, d = views.shape
+    z = encoder_forward(enc, views.reshape(n * n_views, d)).reshape(n, n_views, -1)
     sims = np.einsum("nad,nbd->nab", z, z)
     iu, ju = np.triu_indices(n_views, k=1)
     return np.clip(sims[:, iu, ju], -1.0, 1.0).mean(axis=1)
 
 
-def _member_sample(splits: Splits, seed: int, tag: int) -> np.ndarray:
+def mi_alignment_scores(
+    enc: EncoderNet,
+    data: LabeledDataset,
+    ids,
+    aug: AugmentorConfig,
+    seed: int,
+    n_views: int = _MI_N_VIEWS,
+) -> np.ndarray:
+    """Per-sample mean pairwise cosine across n stochastic views (C(n,2)
+    pairs; 45 for the default 10 views)."""
+    return _mi_scores(enc, _mi_views(data, ids, aug, seed, n_views))
+
+
+def _attack_sets(splits: Splits, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Ids the membership attacks score: (members, non-members, unlearn).
+    The members are a seeded retain sample as large as the test split."""
     if len(splits.test) == 0:
         raise ConfigurationError("membership inference needs a test split")
     if len(splits.retain) < len(splits.test):
         raise ConfigurationError("retain split smaller than test split")
-    rng = seeds.stream_rng(seed, tag)
-    return np.sort(rng.choice(splits.retain, size=len(splits.test), replace=False))
+    rng = seeds.stream_rng(seed, seeds.MI_MEMBERS)
+    members = np.sort(rng.choice(splits.retain, size=len(splits.test), replace=False))
+    return members, splits.test, splits.unlearn
+
+
+def _efficacy(member_scores, nonmember_scores, unlearn_scores) -> float:
+    """Fit the threshold attack on members vs non-members; the fraction of
+    unlearn samples it calls non-members."""
+    thr, _ = fit_threshold(member_scores, nonmember_scores)
+    return float(np.mean(unlearn_scores <= thr))
 
 
 def encoder_mi_efficacy(
@@ -386,43 +412,42 @@ def encoder_mi_efficacy(
     splits: Splits,
     aug: AugmentorConfig,
     seed: int,
-    n_views: int = 10,
+    n_views: int = _MI_N_VIEWS,
 ) -> float:
     """Train the view-alignment membership attack on retain-vs-test scores,
     then report the fraction of unlearn samples it calls non-members."""
-    members = _member_sample(splits, seed, seeds.MI_MEMBERS)
-    m = mi_alignment_scores(enc, data, members, aug, seed, n_views)
-    n = mi_alignment_scores(enc, data, splits.test, aug, seed, n_views)
-    thr, _ = fit_threshold(m, n)
-    u = mi_alignment_scores(enc, data, splits.unlearn, aug, seed, n_views)
-    return float(np.mean(u <= thr))
+    return _efficacy(*(mi_alignment_scores(enc, data, ids, aug, seed, n_views)
+                       for ids in _attack_sets(splits, seed)))
 
 
 # --- linear probe ------------------------------------------------------------------
 
 
 def softmax_xent_loss_fn(labels: np.ndarray, num_classes: int) -> LossFn:
-    """Mean cross-entropy over logits, stable log-sum-exp form."""
+    """Mean cross-entropy over logits, stable log-sum-exp form.
+
+    The reductions across classes run on a (classes, batch) copy, where
+    each is a few contiguous row operations instead of one short strided
+    reduction per sample; the gradient comes back as a transposed view."""
     labels = np.asarray(labels, dtype=np.int64)
+    n = labels.size
+    # flat position of each sample's label logit in the (classes, batch) copy
+    picked = labels * n + np.arange(n)
 
     def fn(logits):
-        n = logits.shape[0]
-        if labels.shape != (n,):
+        if labels.shape != (logits.shape[0],):
             raise ConfigurationError("labels do not align with the logit batch")
-        m = logits.max(axis=1, keepdims=True)
-        e = np.exp(logits - m)
-        tot = e.sum(axis=1, keepdims=True)
-        lse = (m + np.log(tot)).ravel()
-        nll = float(np.mean(lse - logits[np.arange(n), labels]))
-        g = e / tot
-        g[np.arange(n), labels] -= 1.0
-        return nll, g / n
+        lt = np.ascontiguousarray(logits.T)
+        m = lt.max(axis=0)
+        e = np.exp(lt - m)
+        tot = e.sum(axis=0)
+        nll = float(np.mean(m + np.log(tot) - lt.take(picked)))
+        g = np.divide(e, tot, out=e)
+        g.reshape(-1)[picked] -= 1.0
+        g /= n
+        return nll, g.T
 
     return fn
-
-
-def _plain_chunks(n: int, size: int) -> list[np.ndarray]:
-    return [np.arange(i, min(i + size, n)) for i in range(0, n, size)]
 
 
 def linear_probe(
@@ -446,15 +471,17 @@ def linear_probe(
                         seed=(cfg.seed, seeds.PROBE_INIT), normalize_output=False)
     if cfg.epochs == 0:
         return head
-    spe = len(_plain_chunks(ids.size, cfg.batch_size))
+    starts = range(0, ids.size, cfg.batch_size)
     opt = OptState(base_lr=cfg.lr, momentum=cfg.momentum,
-                   weight_decay=cfg.weight_decay, total_steps=cfg.epochs * spe)
+                   weight_decay=cfg.weight_decay, total_steps=cfg.epochs * len(starts))
     for epoch in range(cfg.epochs):
         perm = seeds.stream_rng(cfg.seed, seeds.PROBE_SHUFFLE, epoch).permutation(ids.size)
-        for chunk in _plain_chunks(ids.size, cfg.batch_size):
-            take = perm[chunk]
-            loss_fn = softmax_xent_loss_fn(labels[take], num_classes)
-            loss, grads = loss_and_grads(head, feats[take], loss_fn)
+        # one gather per epoch; each batch is then a contiguous slice
+        ep_feats, ep_labels = feats[perm], labels[perm]
+        for lo in starts:
+            hi = lo + cfg.batch_size
+            loss_fn = softmax_xent_loss_fn(ep_labels[lo:hi], num_classes)
+            loss, grads = loss_and_grads(head, ep_feats[lo:hi], loss_fn)
             try:  # the optimizer rejects a non-finite gradient before writing
                 if not np.isfinite(loss):
                     raise NumericError("non-finite loss")
@@ -498,12 +525,8 @@ def cmia_efficacy(
 ) -> float:
     """Confidence-threshold membership attack; fraction of unlearn samples
     classified as non-members."""
-    members = _member_sample(splits, seed, seeds.MI_MEMBERS)
-    m = confidence_scores(enc, head, data, members)
-    n = confidence_scores(enc, head, data, splits.test)
-    thr, _ = fit_threshold(m, n)
-    u = confidence_scores(enc, head, data, splits.unlearn)
-    return float(np.mean(u <= thr))
+    return _efficacy(*(confidence_scores(enc, head, data, ids)
+                       for ids in _attack_sets(splits, seed)))
 
 
 # --- gap summaries ----------------------------------------------------------------
@@ -528,7 +551,43 @@ def gap_report(candidate: dict[str, float], reference: dict[str, float]) -> GapR
     return GapReport(gaps=gaps, avg_gap=avg_gap, agp=agp)
 
 
-# --- one-call report ------------------------------------------------------------------
+# --- one evaluation pass ------------------------------------------------------------
+
+
+def evaluate(
+    encoders: dict[str, EncoderNet],
+    before: EncoderNet,
+    data: LabeledDataset,
+    splits: Splits,
+    aug: AugmentorConfig,
+    probe_cfg: ProbeConfig,
+    seed: int,
+) -> dict[str, EvalReport]:
+    """full_report for each named encoder against one pre-unlearning
+    encoder. The audit views, before's features of them, the member sample
+    and the MI views are built once and shared by every encoder; each
+    report's runtime counts that shared work plus its own scoring."""
+    t0 = time.perf_counter()
+    xs, ys = paired_unlearn_views(data, splits.unlearn, aug, seed)
+    bx, by = encoder_forward(before, xs), encoder_forward(before, ys)
+    attack_ids = _attack_sets(splits, seed)
+    mi_views = [_mi_views(data, ids, aug, seed, _MI_N_VIEWS) for ids in attack_ids]
+    num_classes = int(data.labels.max()) + 1
+    shared_s = time.perf_counter() - t0
+    reports = {}
+    for name, enc in encoders.items():
+        t1 = time.perf_counter()
+        fs, _ = forgetting_score_from_features(
+            bx, by, encoder_forward(enc, xs), encoder_forward(enc, ys))
+        head = linear_probe(enc, data, splits.retain, num_classes, probe_cfg)
+        ra, ta, ua = classifier_metrics(enc, head, data, splits)
+        reports[name] = EvalReport(
+            fs=fs, emia=_efficacy(*(_mi_scores(enc, v) for v in mi_views)),
+            cmia=_efficacy(*(confidence_scores(enc, head, data, ids) for ids in attack_ids)),
+            ra=ra, ta=ta, ua=ua,
+            runtime_seconds=shared_s + time.perf_counter() - t1,
+        )
+    return reports
 
 
 def full_report(
@@ -542,16 +601,5 @@ def full_report(
 ) -> EvalReport:
     """Forgetting score of candidate vs the pre-unlearning encoder, both
     membership attacks, and probe accuracies."""
-    import time
-
-    t0 = time.perf_counter()
-    fs, _ = forgetting_score(before, candidate, data, splits.unlearn, aug, seed)
-    num_classes = int(data.labels.max()) + 1
-    head = linear_probe(candidate, data, splits.retain, num_classes, probe_cfg)
-    ra, ta, ua = classifier_metrics(candidate, head, data, splits)
-    emia = encoder_mi_efficacy(candidate, data, splits, aug, seed)
-    cmia = cmia_efficacy(candidate, head, data, splits, seed)
-    return EvalReport(
-        fs=fs, emia=emia, cmia=cmia, ra=ra, ta=ta, ua=ua,
-        runtime_seconds=time.perf_counter() - t0,
-    )
+    return evaluate({"candidate": candidate}, before, data, splits, aug, probe_cfg,
+                    seed)["candidate"]

@@ -1,3 +1,5 @@
+import contextlib
+import errno
 import re
 import subprocess
 import sys
@@ -18,7 +20,8 @@ from unlearnlab.cli import (
     main,
     resolve_config,
 )
-from unlearnlab.persist import load_encoder, write_feature_dump
+from unlearnlab import cli
+from unlearnlab.persist import load_encoder, save_encoder, write_feature_dump
 
 
 TINY = [
@@ -149,6 +152,75 @@ class TestExitCodes:
         assert "retrain subcommand" in capsys.readouterr().err
 
 
+@pytest.fixture(scope="module")
+def eval_inputs(tmp_path_factory):
+    """A tiny run's config, dataset, splits and checkpoints, shared read-only."""
+    root = tmp_path_factory.mktemp("eval_inputs")
+    cfg = tiny_cfg(root)
+    run_pipeline(root, root / "run", cfg)
+    return cfg, root / "run"
+
+
+def eval_argv(cfg, run, out, **paths):
+    flags = {"candidate": run / "unlearned.bin", "before": run / "encoder.bin", **paths}
+    argv = ["eval", "--config", cfg, "--out", str(out),
+            "--data", str(run / "dataset.csv"), "--splits", str(run / "splits.csv")]
+    for flag, path in flags.items():
+        argv += [f"--{flag}", str(path)]
+    return argv
+
+
+class TestEvalExitCodes:
+    def test_unknown_set_key(self, eval_inputs, tmp_path, capsys):
+        cfg, run = eval_inputs
+        rc = main(eval_argv(cfg, run, tmp_path) + ["--set", "probe.no_such_key=1"])
+        assert rc == EXIT_CONFIG
+        assert "probe.no_such_key" in capsys.readouterr().err
+
+    def test_missing_reference(self, eval_inputs, tmp_path, capsys):
+        cfg, run = eval_inputs
+        rc = main(eval_argv(cfg, run, tmp_path, reference=tmp_path / "absent.bin"))
+        assert rc == EXIT_MISSING_INPUT
+        assert "missing reference checkpoint" in capsys.readouterr().err
+
+    def test_truncated_candidate(self, eval_inputs, tmp_path):
+        cfg, run = eval_inputs
+        blob = (run / "unlearned.bin").read_bytes()
+        (tmp_path / "cut.bin").write_bytes(blob[:len(blob) // 2])
+        assert main(eval_argv(cfg, run, tmp_path, candidate=tmp_path / "cut.bin")) == EXIT_FORMAT
+
+    def test_nan_weight_in_candidate(self, eval_inputs, tmp_path, capsys):
+        cfg, run = eval_inputs
+        net = load_encoder(run / "unlearned.bin")
+        net.layers[0].w[0, 0] = np.nan
+        save_encoder(net, tmp_path / "nan.bin")
+        assert main(eval_argv(cfg, run, tmp_path, candidate=tmp_path / "nan.bin")) == EXIT_NUMERIC
+        assert "non-finite" in capsys.readouterr().err
+        assert not (tmp_path / "report.txt").exists()
+
+
+class TestAtomicArtifacts:
+    def test_failed_write_keeps_old_report(self, eval_inputs, tmp_path, monkeypatch):
+        cfg, run = eval_inputs
+        assert main(eval_argv(cfg, run, tmp_path)) == EXIT_OK
+        old = (tmp_path / "report.txt").read_bytes()
+        real = cli.atomic_write
+
+        @contextlib.contextmanager
+        def failing(path, *args, **kwargs):
+            with real(path, *args, **kwargs) as f:
+                if path.name == "report.txt":
+                    f.write("fs=")
+                    raise OSError(errno.ENOSPC, "No space left on device", str(path))
+                yield f
+
+        monkeypatch.setattr(cli, "atomic_write", failing)
+        with pytest.raises(OSError):
+            main(eval_argv(cfg, run, tmp_path))
+        assert (tmp_path / "report.txt").read_bytes() == old
+        assert not list(tmp_path.glob("*.tmp"))
+
+
 class TestTtest:
     def test_reference_alignment_drop_case(self, capsys):
         rc = main(["ttest", "--mean-a", "-0.0026", "--std-a", "0.0587", "--n-a", "20",
@@ -184,9 +256,10 @@ class TestPipeline:
                      "--before", str(out / "encoder.bin"),
                      "--reference", str(out / "retrain.bin")]) == EXIT_OK
         for name in ("dataset.csv", "splits.csv", "encoder.bin", "retrain.bin",
-                     "unlearned.bin", "probe.bin", "probe.txt",
+                     "unlearned.bin", "probe.txt",
                      "report.txt", "report.csv", "reference_report.txt", "gaps.txt"):
             assert (out / name).exists(), name
+        assert not (out / "probe.bin").exists()  # nothing reads a probe checkpoint
         report = dict(ln.split("=") for ln in (out / "report.txt").read_text().splitlines())
         assert set(report) == {"fs", "emia", "cmia", "ra", "ta", "ua"}
         assert 0.0 <= float(report["ra"]) <= 100.0

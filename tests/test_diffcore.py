@@ -140,7 +140,9 @@ class TestOptimizer:
         net = init_encoder([3, 2], seed=0)
         before = [a.copy() for a in net.param_arrays()]
         opt = OptState(base_lr=0.5, momentum=0.9, weight_decay=0.0, total_steps=3)
-        sgd_momentum_step(net, GradSet.zeros_like(net), opt)
+        zeros = GradSet([np.zeros_like(la.w) for la in net.layers],
+                        [np.zeros_like(la.b) for la in net.layers])
+        sgd_momentum_step(net, zeros, opt)
         for a, b in zip(net.param_arrays(), before):
             assert np.array_equal(a, b)
         assert opt.step == 1

@@ -6,8 +6,9 @@ from scipy import special as sp_special
 from scipy import stats as sp_stats
 
 from unlearnlab import evalsuite
+from unlearnlab.cli import main as cli_main
 from unlearnlab.contrastive import ContrastiveConfig, pretrain
-from unlearnlab.datagen import AugmentorConfig, gen_synthetic, split
+from unlearnlab.datagen import AugmentorConfig, gen_synthetic, load_dataset, load_splits, split
 from unlearnlab.diffcore import DenseLayer, EncoderNet, encoder_forward, init_encoder
 from unlearnlab.errors import ConfigurationError, NumericError
 from unlearnlab.evalsuite import (
@@ -22,6 +23,7 @@ from unlearnlab.evalsuite import (
     cmia_efficacy,
     confidence_scores,
     encoder_mi_efficacy,
+    evaluate,
     fit_threshold,
     forgetting_score,
     forgetting_score_from_features,
@@ -35,6 +37,7 @@ from unlearnlab.evalsuite import (
     softmax_xent_loss_fn,
     welch_ttest,
 )
+from unlearnlab.persist import load_encoder
 
 
 def unit_rows(a):
@@ -361,6 +364,29 @@ class TestProbe:
             atol=1e-12,
         )
 
+    @pytest.mark.parametrize("classes", range(2, 13))
+    def test_xent_loss_matches_row_major_reference(self, classes):
+        # the sample-major form the class-major loss replaced
+        def reference(logits, labels):
+            n = logits.shape[0]
+            m = logits.max(axis=1, keepdims=True)
+            e = np.exp(logits - m)
+            tot = e.sum(axis=1, keepdims=True)
+            lse = (m + np.log(tot)).ravel()
+            g = e / tot
+            g[np.arange(n), labels] -= 1.0
+            return float(np.mean(lse - logits[np.arange(n), labels])), g / n
+
+        rng = np.random.default_rng(classes)
+        for n in (1, 7, 512):
+            logits = 4.0 * rng.normal(size=(n, classes))
+            labels = rng.integers(0, classes, size=n)
+            val, grad = softmax_xent_loss_fn(labels, classes)(logits)
+            ref_val, ref_grad = reference(logits, labels)
+            assert abs(val - ref_val) <= 1e-15
+            assert grad.shape == (n, classes)
+            np.testing.assert_allclose(grad, ref_grad, rtol=0, atol=1e-15)
+
     def test_classifier_metrics_hand_counts(self):
         # identity encoder, fixed head: logits = features; labels set so
         # retain is all correct, unlearn all wrong
@@ -433,3 +459,79 @@ class TestFullReport:
         assert rep.runtime_seconds > 0
         assert "runtime_seconds" not in rep.metrics()
         assert set(rep.metrics()) == {"fs", "emia", "cmia", "ra", "ta", "ua"}
+
+
+# criterion 12's pipeline config (tests/test_acceptance.py)
+CRITERION_12 = [
+    "seed=17",
+    "data.clusters=3", "data.dim=6", "data.count=150", "data.separation=5",
+    "arch=6,10,4",
+    "split.test_fraction=0.15",
+    "pretrain.epochs=3", "pretrain.batch_size=32",
+    "unlearn.epochs=2", "unlearn.retain_batch=32", "unlearn.unlearn_batch=8",
+    "probe.epochs=10",
+]
+
+
+@pytest.fixture(scope="module")
+def criterion_12_run(tmp_path_factory):
+    """Dataset, splits and the three encoders of criterion 12's pipeline."""
+    out = tmp_path_factory.mktemp("c12")
+    cfg = out / "det.cfg"
+    cfg.write_text("\n".join(CRITERION_12) + "\n")
+    for cmd in ("gen-data", "split", "pretrain", "retrain", "unlearn"):
+        assert cli_main([cmd, "--config", str(cfg), "--out", str(out)]) == 0
+    return {
+        "data": load_dataset(out / "dataset.csv"), "splits": load_splits(out / "splits.csv"),
+        "before": load_encoder(out / "encoder.bin"),
+        "encoders": {name: load_encoder(out / f"{name}.bin") for name in ("unlearned", "retrain")},
+        "aug": AugmentorConfig(), "probe": ProbeConfig(epochs=10, seed=17), "seed": 17,
+    }
+
+
+class TestEvaluate:
+    def _evaluate(self, run, encoders):
+        return evaluate(encoders, run["before"], run["data"], run["splits"], run["aug"],
+                        run["probe"], run["seed"])
+
+    def test_equals_one_full_report_per_encoder(self, criterion_12_run):
+        run = criterion_12_run
+        reports = self._evaluate(run, {"c": run["encoders"]["unlearned"],
+                                       "r": run["encoders"]["retrain"]})
+        assert list(reports) == ["c", "r"]
+        for name, enc in (("c", run["encoders"]["unlearned"]), ("r", run["encoders"]["retrain"])):
+            single = full_report(enc, run["before"], run["data"], run["splits"], run["aug"],
+                                 run["probe"], run["seed"])
+            assert reports[name].metrics() == single.metrics(), name
+            assert reports[name].runtime_seconds > 0
+
+    def test_report_is_the_composition_of_its_steps(self, criterion_12_run):
+        run = criterion_12_run
+        data, splits, aug, seed = run["data"], run["splits"], run["aug"], run["seed"]
+        enc = run["encoders"]["unlearned"]
+        rep = self._evaluate(run, {"c": enc})["c"]
+        fs, _ = forgetting_score(run["before"], enc, data, splits.unlearn, aug, seed)
+        head = linear_probe(enc, data, splits.retain, 3, run["probe"])
+        ra, ta, ua = classifier_metrics(enc, head, data, splits)
+        assert rep.metrics() == {
+            "fs": fs, "emia": encoder_mi_efficacy(enc, data, splits, aug, seed),
+            "cmia": cmia_efficacy(enc, head, data, splits, seed), "ra": ra, "ta": ta, "ua": ua,
+        }
+
+    def test_views_built_once_per_pass(self, criterion_12_run, monkeypatch):
+        run = criterion_12_run
+        real, calls = evalsuite.augment_views, []
+
+        def counted(sample, aug, n_views, rng):
+            calls.append(n_views)
+            return real(sample, aug, n_views, rng)
+
+        monkeypatch.setattr(evalsuite, "augment_views", counted)
+        splits = run["splits"]
+        n_unlearn, n_test = len(splits.unlearn), len(splits.test)
+        pool = [run["encoders"]["unlearned"], run["encoders"]["retrain"], run["before"]]
+        for k in (1, 2, 3):
+            calls.clear()
+            self._evaluate(run, {f"e{i}": pool[i] for i in range(k)})
+            # audit pair of each unlearn id; MI views of members, test and unlearn ids
+            assert sorted(calls) == sorted([2] * n_unlearn + [10] * (2 * n_test + n_unlearn)), k
