@@ -466,13 +466,6 @@ def _load_dump_pair(path_x, path_y, what: str):
     return ids_x, fx, fy
 
 
-def _dump_views(enc, vx, vy, ids, out: Path, stem: str):
-    fx, fy = encoder_forward(enc, vx), encoder_forward(enc, vy)
-    write_feature_dump(out / f"{stem}_x.csv", ids, fx)
-    write_feature_dump(out / f"{stem}_y.csv", ids, fy)
-    return fx, fy
-
-
 def cmd_audit(cfg: dict, args) -> int:
     out = _out_dir(cfg)
     _snapshot(cfg, out, "audit")
@@ -495,8 +488,12 @@ def cmd_audit(cfg: dict, args) -> int:
         after_enc = load_encoder(_require(Path(args.after), "unlearned checkpoint"))
         ids = splits.unlearn
         vx, vy = paired_unlearn_views(data, ids, _aug_config(cfg), cfg["seed"])
-        bx, by = _dump_views(before_enc, vx, vy, ids, out, "before")
-        ax, ay = _dump_views(after_enc, vx, vy, ids, out, "after")
+        # both encoders run before any dump is written, so a failing one leaves none
+        bx, by = encoder_forward(before_enc, vx), encoder_forward(before_enc, vy)
+        ax, ay = encoder_forward(after_enc, vx), encoder_forward(after_enc, vy)
+        for stem, fx, fy in (("before", bx, by), ("after", ax, ay)):
+            write_feature_dump(out / f"{stem}_x.csv", ids, fx)
+            write_feature_dump(out / f"{stem}_y.csv", ids, fy)
 
     fs, per_sample = forgetting_score_from_features(bx, by, ax, ay)
     agm = alignment_gap(alignment_matrix(bx, by, ids, ids),

@@ -65,20 +65,46 @@ def _as_slice(rows: np.ndarray) -> slice | None:
     return None
 
 
+class PairWorkspace:
+    """Reusable storage for the n x n float64 matrices of PairTerms.
+
+    One buffer backs three matrices and grows only when n grows, so a loss
+    closure that holds a workspace allocates no n x n matrix once warm:
+    the pages stay mapped between training steps instead of being handed
+    back to the kernel and faulted in again.
+    """
+
+    def __init__(self):
+        self._buf = np.empty(0)
+
+    def matrices(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Three C-contiguous (n, n) views of the buffer, contents undefined.
+        They replace any views handed out before."""
+        if self._buf.size < 3 * n * n:
+            self._buf = np.empty(3 * n * n)
+        flat = self._buf[: 3 * n * n]
+        return tuple(m.reshape(n, n) for m in np.split(flat, 3))
+
+
 class PairTerms:
     """Accumulates loss terms over P = Z Z^T and their dLoss/dP.
+
+    The matrices live in a PairWorkspace: the one passed in, or a private
+    one.  p and g are valid until the next PairTerms on the same workspace;
+    the gradient result() returns is a fresh array that never aliases it.
 
     Index arrays passed to add_log_sum_exp must contain unique rows;
     gradient scatter relies on it.  add_pair_mean tolerates duplicates.
     """
 
-    def __init__(self, feats: np.ndarray):
+    def __init__(self, feats: np.ndarray, work: PairWorkspace | None = None):
         z = np.asarray(feats, dtype=np.float64)
         if z.ndim != 2:
             raise ConfigurationError("feature stack must be 2-d")
         self.z = z
-        self.p = z @ z.T
-        self.g = np.zeros_like(self.p)
+        self.p, self.g, self._scratch = (work or PairWorkspace()).matrices(len(z))
+        np.matmul(z, z.T, out=self.p)
+        self.g.fill(0.0)
         self.value = 0.0
 
     def add_pair_mean(self, rows_a, rows_b, coeff: float, tau: float | None = None) -> None:
@@ -106,7 +132,9 @@ class PairTerms:
         exclude_pool_pos[i] >= 0 drops that pool position from anchor i's
         sum (the anchor's own view).  Uses max-subtraction so identical
         similarities cancel exactly.  Contiguous anchors and pool (InfoNCE,
-        the AC stack) are gathered and scattered as slices.
+        the AC stack) are gathered and scattered as slices.  The
+        exponentials are worked out in a C-contiguous block of the scratch
+        matrix, laid out as a fresh array would be, so sums round the same.
         """
         anchor_rows = np.asarray(anchor_rows, dtype=np.int64)
         pool_rows = np.asarray(pool_rows, dtype=np.int64)
@@ -116,7 +144,9 @@ class PairTerms:
             raise ConfigurationError("temperature must be > 0")
         a, q = _as_slice(anchor_rows), _as_slice(pool_rows)
         cells = (a, q) if a is not None and q is not None else np.ix_(anchor_rows, pool_rows)
-        s = self.p[cells] / tau
+        shape = (anchor_rows.size, pool_rows.size)
+        block = self._scratch.reshape(-1)[: shape[0] * shape[1]].reshape(shape)
+        s = np.divide(self.p[cells], tau, out=block)
         if exclude_pool_pos is not None:
             exclude_pool_pos = np.asarray(exclude_pool_pos, dtype=np.int64)
             which = np.nonzero(exclude_pool_pos >= 0)[0]
@@ -134,8 +164,8 @@ class PairTerms:
         self.g[cells] += e
 
     def result(self) -> tuple[float, np.ndarray]:
-        dz = (self.g + self.g.T) @ self.z
-        return self.value, dz
+        sym = np.add(self.g, self.g.T, out=self._scratch)
+        return self.value, sym @ self.z
 
 
 def _check_paired_stack(feats: np.ndarray, allow_singleton: bool) -> int:
@@ -152,11 +182,13 @@ def _check_paired_stack(feats: np.ndarray, allow_singleton: bool) -> int:
 
 
 def info_nce_with_grads(
-    feats, temperature: float, allow_singleton: bool = False
+    feats, temperature: float, allow_singleton: bool = False,
+    work: PairWorkspace | None = None,
 ) -> tuple[float, np.ndarray]:
     """Paired-view InfoNCE over a (2B, d) stack: mean over all 2B anchors of
     -s(a, partner)/tau + log sum_{k != a} exp(s(a, k)/tau).  Returns the
-    value and its gradient w.r.t. the stack."""
+    value and its gradient w.r.t. the stack; the pair matrices are built in
+    work when given (see PairTerms)."""
     feats = np.asarray(feats, dtype=np.float64)
     b = _check_paired_stack(feats, allow_singleton)
     if temperature <= 0:
@@ -164,7 +196,7 @@ def info_nce_with_grads(
     n = 2 * b
     anchors = np.arange(n)
     partners = (anchors + b) % n
-    acc = PairTerms(feats)
+    acc = PairTerms(feats, work)
     acc.add_pair_mean(anchors, partners, coeff=-1.0, tau=temperature)
     acc.add_log_sum_exp(anchors, anchors, coeff=1.0, tau=temperature,
                         exclude_pool_pos=anchors)
@@ -176,7 +208,10 @@ def info_nce_batch(feats, temperature: float, allow_singleton: bool = False) -> 
 
 
 def info_nce_loss_fn(temperature: float, allow_singleton: bool = False) -> LossFn:
-    return lambda z: info_nce_with_grads(z, temperature, allow_singleton)
+    """InfoNCE as a loss callable.  Its calls share one PairWorkspace, so
+    one closure per training run allocates its pair matrices once."""
+    work = PairWorkspace()
+    return lambda z: info_nce_with_grads(z, temperature, allow_singleton, work)
 
 
 def batch_chunks(order: np.ndarray, batch_size: int) -> list[np.ndarray]:

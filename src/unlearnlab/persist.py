@@ -212,9 +212,10 @@ def load_encoder(path: PathLike) -> EncoderNet:
 def _write_id_rows(path: PathLike, header: str, ids: Sequence[int],
                    values: np.ndarray) -> None:
     """Write the header, then one `id,v0,v1,...` line per row, each made by
-    one %-template; %.17g round-trips every float64 exactly."""
+    one %-template; %.17g round-trips every float64 exactly. The file is
+    replaced whole (see atomic_write)."""
     row = "%d," + ",".join(["%.17g"] * values.shape[1]) + "\n"
-    with open(path, "w") as f:
+    with atomic_write(path, "w") as f:
         f.write(header + "\n")
         f.writelines(row % (i, *v.tolist()) for i, v in zip(ids, values))
 
@@ -344,7 +345,7 @@ def write_heatmap_pgm(path: PathLike, values: np.ndarray,
     """Render a matrix to binary PGM (P5), mapping [lo, hi] onto 0..255.
 
     Defaults to a zero-centered range so sign structure survives. Values
-    outside the range clamp to the endpoints.
+    outside the range clamp to the endpoints. The file is replaced whole.
     """
     values = np.asarray(values, dtype=float)
     if values.ndim != 2 or values.size == 0:
@@ -359,4 +360,5 @@ def write_heatmap_pgm(path: PathLike, values: np.ndarray,
     pixels = np.rint(np.clip(scaled, 0.0, 255.0)).astype(np.uint8)
     h, w = pixels.shape
     header = f"P5\n# range [{lo:.17g}, {hi:.17g}]\n{w} {h}\n255\n"
-    Path(path).write_bytes(header.encode("ascii") + pixels.tobytes())
+    with atomic_write(path) as f:
+        f.write(header.encode("ascii") + pixels.tobytes())

@@ -30,6 +30,7 @@ from . import seeds
 from .contrastive import (
     ContrastiveConfig,
     PairTerms,
+    PairWorkspace,
     batch_chunks,
     info_nce_loss_fn,
     pretrain_on_ids,
@@ -134,7 +135,6 @@ def _neg_pair_indices(n_pairs: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _unlearn_terms(
-    acc: PairTerms,
     x_rows: np.ndarray,
     y_rows: np.ndarray,
     pool_rows,
@@ -144,25 +144,33 @@ def _unlearn_terms(
     preserve_weight: float,
     tau: float,
     coeff: float = 1.0,
-) -> None:
-    u = len(x_rows)
+):
+    """A function that adds the unlearn terms to a PairTerms; the index
+    arrays it uses are built once, here."""
     rows = np.concatenate([x_rows, y_rows])
+    neg = None
     if negpair_weight != 0.0:
-        i, j = _neg_pair_indices(u)
+        i, j = _neg_pair_indices(len(x_rows))
         if len(i) == 0:
             warnings.warn(
                 "single-sample unlearn batch has no cross-sample pairs; "
                 "negpair term contributes nothing"
             )
         else:
-            acc.add_pair_mean(rows[i], rows[j], coeff=-negpair_weight * coeff)
-    if forget_weight != 0.0:
-        acc.add_pair_mean(x_rows, y_rows, coeff=forget_weight * coeff)
-    if preserve_weight != 0.0:
-        acc.add_log_sum_exp(
-            rows, pool_rows, coeff=preserve_weight * coeff, tau=tau,
-            exclude_pool_pos=exclude_pos,
-        )
+            neg = rows[i], rows[j]
+
+    def add(acc: PairTerms) -> None:
+        if neg is not None:
+            acc.add_pair_mean(*neg, coeff=-negpair_weight * coeff)
+        if forget_weight != 0.0:
+            acc.add_pair_mean(x_rows, y_rows, coeff=forget_weight * coeff)
+        if preserve_weight != 0.0:
+            acc.add_log_sum_exp(
+                rows, pool_rows, coeff=preserve_weight * coeff, tau=tau,
+                exclude_pool_pos=exclude_pos,
+            )
+
+    return add
 
 
 def retain_stack_loss_fn(
@@ -192,36 +200,43 @@ def unlearn_stack_loss_fn(
     x_rows = np.arange(n_pairs)
     y_rows = n_pairs + np.arange(n_pairs)
     pool_rows = 2 * n_pairs + np.arange(n_pool)
+    add_unlearn = _unlearn_terms(
+        x_rows, y_rows, pool_rows, exclude_pool_pos,
+        negpair_weight, forget_weight, preserve_weight, temperature,
+    )
 
     def fn(z):
         acc = PairTerms(z)
-        _unlearn_terms(
-            acc, x_rows, y_rows, pool_rows, exclude_pool_pos,
-            negpair_weight, forget_weight, preserve_weight, temperature,
-        )
+        add_unlearn(acc)
         return acc.result()
 
     return fn
 
 
-def ac_stack_loss_fn(n_retain: int, n_unlearn: int, cfg: ACConfig, unlearn_scale: float) -> LossFn:
+def ac_stack_loss_fn(
+    n_retain: int, n_unlearn: int, cfg: ACConfig, unlearn_scale: float,
+    work: PairWorkspace | None = None,
+) -> LossFn:
     """Calibration loss over a training stack [rx; ry; ux; uy] where the
-    pool is the whole stack and every anchor excludes its own row."""
+    pool is the whole stack and every anchor excludes its own row.  Every
+    call builds its pair matrices in work (a private one by default)."""
     n = 2 * n_retain + 2 * n_unlearn
     pool_rows = np.arange(n)
     retain_excl = np.arange(2 * n_retain)
     ux_rows = 2 * n_retain + np.arange(n_unlearn)
     uy_rows = 2 * n_retain + n_unlearn + np.arange(n_unlearn)
     unlearn_excl = np.arange(2 * n_retain, n)
+    add_unlearn = _unlearn_terms(
+        ux_rows, uy_rows, pool_rows, unlearn_excl,
+        cfg.negpair_weight, cfg.forget_weight, cfg.preserve_weight,
+        cfg.temperature, coeff=unlearn_scale,
+    )
+    work = work or PairWorkspace()
 
     def fn(z):
-        acc = PairTerms(z)
+        acc = PairTerms(z, work)
         _retain_terms(acc, n_retain, pool_rows, retain_excl, cfg.temperature)
-        _unlearn_terms(
-            acc, ux_rows, uy_rows, pool_rows, unlearn_excl,
-            cfg.negpair_weight, cfg.forget_weight, cfg.preserve_weight,
-            cfg.temperature, coeff=unlearn_scale,
-        )
+        add_unlearn(acc)
         return acc.result()
 
     return fn
@@ -338,6 +353,8 @@ def _run_unlearn_sgd(
         total_steps=epochs * spe,
     )
     nce = info_nce_loss_fn(temperature, allow_singleton=True)
+    ac_fns = {}  # AC loss per retain chunk length, sharing one workspace
+    ac_work = PairWorkspace()
     for epoch in range(epochs):
         perm = seeds.stream_rng(seed, seeds.SHUFFLE_MAIN, epoch).permutation(drive_ids)
         chunks = batch_chunks(perm, drive_batch)
@@ -353,7 +370,10 @@ def _run_unlearn_sgd(
             if method == "ac" and unlearn_scale != 0.0:
                 ux, uy = paired_views_for_ids(data, side[step], aug, seed, epoch, block)
                 stack = np.vstack([xs, ys, ux, uy])
-                fn = ac_stack_loss_fn(len(chunk), len(side[step]), cfg, unlearn_scale)
+                fn = ac_fns.get(len(chunk))
+                if fn is None:
+                    fn = ac_fns[len(chunk)] = ac_stack_loss_fn(
+                        len(chunk), side_width, cfg, unlearn_scale, ac_work)
                 loss, grads = loss_and_grads(net, stack, fn)
             elif method == "neggrad":
                 loss_r, grads = loss_and_grads(net, np.vstack([xs, ys]), nce)

@@ -161,13 +161,22 @@ def eval_inputs(tmp_path_factory):
     return cfg, root / "run"
 
 
-def eval_argv(cfg, run, out, **paths):
-    flags = {"candidate": run / "unlearned.bin", "before": run / "encoder.bin", **paths}
-    argv = ["eval", "--config", cfg, "--out", str(out),
+def stage_argv(command, cfg, run, out, **paths):
+    argv = [command, "--config", cfg, "--out", str(out),
             "--data", str(run / "dataset.csv"), "--splits", str(run / "splits.csv")]
-    for flag, path in flags.items():
+    for flag, path in paths.items():
         argv += [f"--{flag}", str(path)]
     return argv
+
+
+def eval_argv(cfg, run, out, **paths):
+    paths = {"candidate": run / "unlearned.bin", "before": run / "encoder.bin", **paths}
+    return stage_argv("eval", cfg, run, out, **paths)
+
+
+def audit_argv(cfg, run, out, **paths):
+    paths = {"before": run / "encoder.bin", "after": run / "unlearned.bin", **paths}
+    return stage_argv("audit", cfg, run, out, **paths)
 
 
 class TestEvalExitCodes:
@@ -197,6 +206,50 @@ class TestEvalExitCodes:
         assert main(eval_argv(cfg, run, tmp_path, candidate=tmp_path / "nan.bin")) == EXIT_NUMERIC
         assert "non-finite" in capsys.readouterr().err
         assert not (tmp_path / "report.txt").exists()
+
+
+class TestAuditExitCodes:
+    """Checkpoint-mode audit; a failed call leaves only its config snapshot."""
+
+    @staticmethod
+    def _written(out):
+        return sorted(p.name for p in out.iterdir())
+
+    def test_unknown_set_key(self, eval_inputs, tmp_path, capsys):
+        cfg, run = eval_inputs
+        rc = main(audit_argv(cfg, run, tmp_path) + ["--set", "aug.no_such_key=1"])
+        assert rc == EXIT_CONFIG
+        assert "aug.no_such_key" in capsys.readouterr().err
+
+    def test_missing_after(self, eval_inputs, tmp_path, capsys):
+        cfg, run = eval_inputs
+        rc = main(audit_argv(cfg, run, tmp_path, after=tmp_path / "absent.bin"))
+        assert rc == EXIT_MISSING_INPUT
+        assert "missing unlearned checkpoint" in capsys.readouterr().err
+        assert self._written(tmp_path) == ["config.audit.txt"]
+
+    def test_truncated_before(self, eval_inputs, tmp_path):
+        cfg, run = eval_inputs
+        blob = (run / "encoder.bin").read_bytes()
+        cut = tmp_path / "in" / "cut.bin"
+        cut.parent.mkdir()
+        cut.write_bytes(blob[:len(blob) // 2])
+        out = tmp_path / "out"
+        assert main(audit_argv(cfg, run, out, before=cut)) == EXIT_FORMAT
+        assert self._written(out) == ["config.audit.txt"]
+
+    def test_nan_weight_in_after(self, eval_inputs, tmp_path, capsys):
+        cfg, run = eval_inputs
+        net = load_encoder(run / "unlearned.bin")
+        net.layers[0].w[0, 0] = np.nan
+        nan = tmp_path / "in" / "nan.bin"
+        nan.parent.mkdir()
+        save_encoder(net, nan)
+        out = tmp_path / "out"
+        assert main(audit_argv(cfg, run, out, after=nan)) == EXIT_NUMERIC
+        assert "non-finite" in capsys.readouterr().err
+        # no feature dump, agm.* or audit.txt: the before dumps are not written first
+        assert self._written(out) == ["config.audit.txt"]
 
 
 class TestAtomicArtifacts:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from unlearnlab import contrastive, datagen
 from unlearnlab.contrastive import (
     ContrastiveConfig,
     PairTerms,
+    PairWorkspace,
     batch_chunks,
     info_nce_batch,
     info_nce_loss_fn,
@@ -131,6 +134,89 @@ class TestPairTerms:
         acc = PairTerms(z)
         with pytest.raises(ConfigurationError):
             acc.add_log_sum_exp([0], [0], coeff=1.0, tau=0.5, exclude_pool_pos=[0])
+
+
+def unit_stack(rng, n, d=16):
+    return unit_rows(rng.normal(size=(n, d)))
+
+
+class TestPairWorkspace:
+    def test_views_reuse_one_buffer(self):
+        work = PairWorkspace()
+        big = work.matrices(8)
+        small = work.matrices(5)
+        for m in big + small:
+            assert m.flags.c_contiguous and m.dtype == np.float64
+        assert [m.shape for m in small] == [(5, 5)] * 3
+        assert all(m.base is big[0].base for m in big + small)  # no new buffer
+        for views in (big, small):
+            assert not any(np.shares_memory(a, b) for a, b in zip(views, views[1:]))
+
+    def test_matrices_and_gradient_lifetime(self):
+        rng = np.random.default_rng(2)
+        work = PairWorkspace()
+        z = unit_stack(rng, 10)
+        acc = PairTerms(z, work)
+        assert np.array_equal(acc.p, z @ z.T)
+        _, grad = info_nce_with_grads(z, 0.5, work=work)
+        kept = grad.copy()
+        info_nce_with_grads(unit_stack(rng, 10), 0.5, work=work)
+        assert not any(np.shares_memory(grad, m) for m in work.matrices(10))
+        assert np.array_equal(grad, kept)
+
+    def test_reused_info_nce_closure_is_bitwise_fresh(self):
+        rng = np.random.default_rng(3)
+        fn = info_nce_loss_fn(0.5)
+        for b in (64, 64, 21, 64, 100, 2):  # full, shorter last chunk, larger
+            z = unit_stack(rng, 2 * b)
+            value, grad = fn(z)
+            ref_value, ref_grad = info_nce_with_grads(z, 0.5)
+            assert value == ref_value
+            assert np.array_equal(grad, ref_grad)
+
+    def test_reused_ac_closures_are_bitwise_fresh(self):
+        from unlearnlab.unlearn import ACConfig, ac_stack_loss_fn
+
+        rng = np.random.default_rng(4)
+        cfg = ACConfig(temperature=0.4)
+        work = PairWorkspace()
+        fns = {}
+        for r in (48, 48, 13, 48, 80):  # full, shorter last chunk, larger
+            if r not in fns:
+                fns[r] = ac_stack_loss_fn(r, 8, cfg, 0.3, work)
+            z = unit_stack(rng, 2 * r + 16)
+            value, grad = fns[r](z)
+            ref_value, ref_grad = ac_stack_loss_fn(r, 8, cfg, 0.3)(z)
+            assert value == ref_value
+            assert np.array_equal(grad, ref_grad)
+
+
+class TestNoPairMatrixPerCall:
+    """Once warm, a loss closure allocates no n x n matrix: numpy reports
+    its buffers to tracemalloc, so the traced peak would show one."""
+
+    MATRIX_BYTES = 256 * 256 * 8
+
+    @staticmethod
+    def _peak_of_second_call(fn, z) -> int:
+        fn(z)
+        tracemalloc.start()
+        try:
+            fn(z)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_info_nce(self):
+        z = unit_stack(np.random.default_rng(5), 256)
+        assert self._peak_of_second_call(info_nce_loss_fn(0.5), z) < self.MATRIX_BYTES
+
+    def test_ac_stack(self):
+        from unlearnlab.unlearn import ACConfig, ac_stack_loss_fn
+
+        z = unit_stack(np.random.default_rng(6), 256)  # [rx; ry; ux; uy], 96 + 32 pairs
+        fn = ac_stack_loss_fn(96, 32, ACConfig(), 0.25)
+        assert self._peak_of_second_call(fn, z) < self.MATRIX_BYTES
 
 
 class TestBatching:

@@ -1,8 +1,11 @@
+import contextlib
+import errno
 import hashlib
 
 import numpy as np
 import pytest
 
+from unlearnlab import persist
 from unlearnlab.diffcore import DenseLayer, EncoderNet, encoder_forward, init_encoder
 from unlearnlab.errors import DataFormatError
 from unlearnlab.persist import (
@@ -240,6 +243,31 @@ class TestMatrixCsv:
     def test_shape_mismatch_rejected(self, tmp_path):
         with pytest.raises(DataFormatError):
             write_matrix_csv(tmp_path / "m.csv", np.ones((2, 2)), [0], [0, 1])
+
+    def test_failed_write_keeps_old_matrix(self, tmp_path, monkeypatch):
+        p = tmp_path / "agm.csv"
+        write_matrix_csv(p, np.eye(3), [0, 1, 2], [0, 1, 2])
+        old = p.read_bytes()
+        real = persist.atomic_write
+
+        class DiskFullAfterOneRow:
+            def __init__(self, f):
+                self.write = f.write
+
+            def writelines(self, lines):
+                self.write(next(iter(lines)))
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        @contextlib.contextmanager
+        def filling(path, *args, **kwargs):
+            with real(path, *args, **kwargs) as f:
+                yield DiskFullAfterOneRow(f)
+
+        monkeypatch.setattr(persist, "atomic_write", filling)
+        with pytest.raises(OSError):
+            write_matrix_csv(p, 2 * np.eye(3), [0, 1, 2], [0, 1, 2])
+        assert p.read_bytes() == old
+        assert [q.name for q in tmp_path.iterdir()] == ["agm.csv"]
 
 
 class TestHeatmap:
