@@ -37,9 +37,10 @@ from .evalsuite import (
     forgetting_score_from_features,
     evaluate,
     gap_report,
-    linear_probe,
+    linear_probe,  # not called here: benchmarks/layers.py needs this binding for probe_s
     neg_alignment_stats,
     paired_unlearn_views,
+    probe_logits,
     welch_ttest,
 )
 from .persist import (
@@ -417,8 +418,9 @@ def cmd_probe(cfg: dict, args) -> int:
     enc_path = Path(args.encoder) if args.encoder else out / "unlearned.bin"
     enc = load_encoder(_require(enc_path, "encoder checkpoint"))
     num_classes = int(data.labels.max()) + 1
-    head = linear_probe(enc, data, splits.retain, num_classes, _probe_config(cfg))
-    ra, ta, ua = classifier_metrics(enc, head, data, splits)
+    split_ids = (splits.retain, splits.test, splits.unlearn)
+    logits = probe_logits(enc, data, split_ids, num_classes, _probe_config(cfg))
+    ra, ta, ua = classifier_metrics(logits, [data.labels_for(ids) for ids in split_ids])
     lines = [f"ra={_fmt(ra)}", f"ta={_fmt(ta)}", f"ua={_fmt(ua)}"]
     _write_text(out / "probe.txt", "\n".join(lines) + "\n")
     for line in lines:

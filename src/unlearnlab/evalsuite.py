@@ -428,7 +428,8 @@ def softmax_xent_loss_fn(labels: np.ndarray, num_classes: int) -> LossFn:
 
     The reductions across classes run on a (classes, batch) copy, where
     each is a few contiguous row operations instead of one short strided
-    reduction per sample; the gradient comes back as a transposed view."""
+    reduction per sample. The exponentials and the gradient are worked out
+    in place in that copy; the gradient comes back as a transposed view."""
     labels = np.asarray(labels, dtype=np.int64)
     n = labels.size
     # flat position of each sample's label logit in the (classes, batch) copy
@@ -437,45 +438,45 @@ def softmax_xent_loss_fn(labels: np.ndarray, num_classes: int) -> LossFn:
     def fn(logits):
         if labels.shape != (logits.shape[0],):
             raise ConfigurationError("labels do not align with the logit batch")
-        lt = np.ascontiguousarray(logits.T)
-        m = lt.max(axis=0)
-        e = np.exp(lt - m)
+        e = logits.T.copy()
+        m = e.max(axis=0)
+        label_logits = e.take(picked)
+        np.exp(np.subtract(e, m, out=e), out=e)
         tot = e.sum(axis=0)
-        nll = float(np.mean(m + np.log(tot) - lt.take(picked)))
-        g = np.divide(e, tot, out=e)
-        g.reshape(-1)[picked] -= 1.0
-        g /= n
-        return nll, g.T
+        nll = np.log(tot)
+        nll += m
+        nll -= label_logits
+        e /= tot
+        e.reshape(-1)[picked] -= 1.0
+        e /= n
+        # sum / n is how np.mean reduces, bit for bit
+        return float(nll.sum() / n), e.T
 
     return fn
 
 
-def linear_probe(
-    enc: EncoderNet,
-    data: LabeledDataset,
-    ids,
-    num_classes: int,
-    cfg: ProbeConfig,
-) -> EncoderNet:
-    """Multinomial linear head trained with SGD on frozen features."""
-    ids = np.asarray(ids, dtype=np.int64)
-    if ids.size < 2:
+def linear_probe(feats, labels, num_classes: int, cfg: ProbeConfig) -> EncoderNet:
+    """Multinomial linear head trained with SGD on frozen features, one
+    labelled sample per row."""
+    feats = np.asarray(feats, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.int64)
+    if feats.ndim != 2 or labels.shape != (feats.shape[0],):
+        raise ConfigurationError("probe labels must align with the feature rows")
+    if labels.size < 2:
         raise ConfigurationError("probe training needs at least 2 samples")
     if num_classes < 2:
         raise ConfigurationError("need at least 2 classes")
-    labels = data.labels_for(ids)
     if labels.min() < 0 or labels.max() >= num_classes:
         raise ConfigurationError("labels out of range for num_classes")
-    feats = encoder_forward(enc, data.samples_for(ids))
     head = init_encoder([feats.shape[1], num_classes],
                         seed=(cfg.seed, seeds.PROBE_INIT), normalize_output=False)
     if cfg.epochs == 0:
         return head
-    starts = range(0, ids.size, cfg.batch_size)
+    starts = range(0, labels.size, cfg.batch_size)
     opt = OptState(base_lr=cfg.lr, momentum=cfg.momentum,
                    weight_decay=cfg.weight_decay, total_steps=cfg.epochs * len(starts))
     for epoch in range(cfg.epochs):
-        perm = seeds.stream_rng(cfg.seed, seeds.PROBE_SHUFFLE, epoch).permutation(ids.size)
+        perm = seeds.stream_rng(cfg.seed, seeds.PROBE_SHUFFLE, epoch).permutation(labels.size)
         # one gather per epoch; each batch is then a contiguous slice
         ep_feats, ep_labels = feats[perm], labels[perm]
         for lo in starts:
@@ -483,7 +484,7 @@ def linear_probe(
             loss_fn = softmax_xent_loss_fn(ep_labels[lo:hi], num_classes)
             loss, grads = loss_and_grads(head, ep_feats[lo:hi], loss_fn)
             try:  # the optimizer rejects a non-finite gradient before writing
-                if not np.isfinite(loss):
+                if not math.isfinite(loss):
                     raise NumericError("non-finite loss")
                 sgd_momentum_step(head, grads, opt)
             except NumericError as exc:
@@ -491,30 +492,38 @@ def linear_probe(
     return head
 
 
-def _accuracy(enc: EncoderNet, head: EncoderNet, data: LabeledDataset, ids) -> float:
-    feats = encoder_forward(enc, data.samples_for(ids))
-    logits = encoder_forward(head, feats)
-    pred = np.argmax(logits, axis=1)
-    return float(np.mean(pred == data.labels_for(ids)) * 100.0)
+def probe_logits(
+    enc: EncoderNet,
+    data: LabeledDataset,
+    id_sets,
+    num_classes: int,
+    cfg: ProbeConfig,
+) -> list[np.ndarray]:
+    """Forward each id set through enc once, train the linear probe on the
+    features of the first set, and return the head's logits of every set,
+    in order."""
+    feats = [encoder_forward(enc, data.samples_for(ids)) for ids in id_sets]
+    head = linear_probe(feats[0], data.labels_for(id_sets[0]), num_classes, cfg)
+    return [encoder_forward(head, f) for f in feats]
 
 
-def classifier_metrics(
-    enc: EncoderNet, head: EncoderNet, data: LabeledDataset, splits: Splits
-) -> tuple[float, float, float]:
-    """(retain, test, unlearn) accuracies in percent."""
-    if len(splits.test) == 0:
+def classifier_metrics(logits, labels) -> tuple[float, float, float]:
+    """(retain, test, unlearn) accuracies in percent, from the probe's
+    logits and the labels of those three splits, in that order."""
+    if len(logits) != 3 or len(labels) != 3:
+        raise ConfigurationError("need logits and labels of the retain, test and unlearn splits")
+    for lg, lab in zip(logits, labels):
+        if np.shape(lab) != (np.shape(lg)[0],):
+            raise ConfigurationError("labels do not align with the logit rows")
+    if logits[1].shape[0] == 0:
         raise ConfigurationError("classifier metrics need a test split")
-    return (
-        _accuracy(enc, head, data, splits.retain),
-        _accuracy(enc, head, data, splits.test),
-        _accuracy(enc, head, data, splits.unlearn),
-    )
+    ra, ta, ua = (float(np.mean(np.argmax(lg, axis=1) == lab) * 100.0)
+                  for lg, lab in zip(logits, labels))
+    return ra, ta, ua
 
 
-def confidence_scores(enc: EncoderNet, head: EncoderNet, data: LabeledDataset, ids) -> np.ndarray:
-    """Max softmax probability per sample under the probe."""
-    feats = encoder_forward(enc, data.samples_for(ids))
-    logits = encoder_forward(head, feats)
+def confidence_scores(logits: np.ndarray) -> np.ndarray:
+    """Max softmax probability per row of probe logits."""
     m = logits.max(axis=1, keepdims=True)
     e = np.exp(logits - m)
     return (e.max(axis=1) / e.sum(axis=1))
@@ -525,8 +534,9 @@ def cmia_efficacy(
 ) -> float:
     """Confidence-threshold membership attack; fraction of unlearn samples
     classified as non-members."""
-    return _efficacy(*(confidence_scores(enc, head, data, ids)
-                       for ids in _attack_sets(splits, seed)))
+    return _efficacy(*(
+        confidence_scores(encoder_forward(head, encoder_forward(enc, data.samples_for(ids))))
+        for ids in _attack_sets(splits, seed)))
 
 
 # --- gap summaries ----------------------------------------------------------------
@@ -566,12 +576,21 @@ def evaluate(
     """full_report for each named encoder against one pre-unlearning
     encoder. The audit views, before's features of them, the member sample
     and the MI views are built once and shared by every encoder; each
-    report's runtime counts that shared work plus its own scoring."""
+    report's runtime counts that shared work plus its own scoring.
+
+    Each encoder forwards the retain, test, unlearn and member samples
+    once: the probe trains on the retain features, the accuracies score the
+    head's logits of the three splits, and the confidence attack reuses the
+    member, test and unlearn logits."""
     t0 = time.perf_counter()
     xs, ys = paired_unlearn_views(data, splits.unlearn, aug, seed)
     bx, by = encoder_forward(before, xs), encoder_forward(before, ys)
     attack_ids = _attack_sets(splits, seed)
     mi_views = [_mi_views(data, ids, aug, seed, _MI_N_VIEWS) for ids in attack_ids]
+    # the member sample is a forward batch of its own: as rows of the retain
+    # batch, its features could round differently in BLAS
+    scored_ids = (splits.retain, splits.test, splits.unlearn, attack_ids[0])
+    labels = [data.labels_for(ids) for ids in scored_ids[:3]]
     num_classes = int(data.labels.max()) + 1
     shared_s = time.perf_counter() - t0
     reports = {}
@@ -579,11 +598,12 @@ def evaluate(
         t1 = time.perf_counter()
         fs, _ = forgetting_score_from_features(
             bx, by, encoder_forward(enc, xs), encoder_forward(enc, ys))
-        head = linear_probe(enc, data, splits.retain, num_classes, probe_cfg)
-        ra, ta, ua = classifier_metrics(enc, head, data, splits)
+        retain, test, unlearn, members = probe_logits(
+            enc, data, scored_ids, num_classes, probe_cfg)
+        ra, ta, ua = classifier_metrics((retain, test, unlearn), labels)
         reports[name] = EvalReport(
             fs=fs, emia=_efficacy(*(_mi_scores(enc, v) for v in mi_views)),
-            cmia=_efficacy(*(confidence_scores(enc, head, data, ids) for ids in attack_ids)),
+            cmia=_efficacy(*(confidence_scores(lg) for lg in (members, test, unlearn))),
             ra=ra, ta=ta, ua=ua,
             runtime_seconds=shared_s + time.perf_counter() - t1,
         )

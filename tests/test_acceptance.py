@@ -37,6 +37,7 @@ from unlearnlab.evalsuite import (
     linear_probe,
     neg_alignment_stats,
     paired_unlearn_views,
+    probe_logits,
     softmax_xent_loss_fn,
     welch_ttest,
 )
@@ -236,9 +237,10 @@ def test_criterion_05_retraining_accuracy_pattern(pipelines):
     lines = []
     for seed in SEEDS:
         run = pipelines[seed]
-        head = linear_probe(run["retrain"], run["data"], run["splits"].retain, 5,
-                            ProbeConfig(seed=seed))
-        ra, ta, ua = classifier_metrics(run["retrain"], head, run["data"], run["splits"])
+        data, splits = run["data"], run["splits"]
+        split_ids = (splits.retain, splits.test, splits.unlearn)
+        logits = probe_logits(run["retrain"], data, split_ids, 5, ProbeConfig(seed=seed))
+        ra, ta, ua = classifier_metrics(logits, [data.labels_for(ids) for ids in split_ids])
         lines.append(f"seed {seed}: RA={ra:.2f} TA={ta:.2f} UA={ua:.2f}")
         assert abs(ua - ta) <= 3.0, f"seed {seed}: |UA-TA| = {abs(ua - ta)}"
         assert ra >= max(ua, ta) - 0.5, f"seed {seed}: RA {ra} vs max {max(ua, ta)}"
@@ -364,7 +366,8 @@ def test_criterion_09_membership_threshold_oracle():
     splits = split(data, 0.15, 0.2, 0.0, seed=1)
     enc = jitter_biases(init_encoder([8, 6, 4], seed=0), 0)
     e1 = encoder_mi_efficacy(enc, data, splits, AUG, seed=2)
-    head = linear_probe(enc, data, splits.retain, 3, ProbeConfig(epochs=10, seed=0))
+    head = linear_probe(encoder_forward(enc, data.samples_for(splits.retain)),
+                        data.labels_for(splits.retain), 3, ProbeConfig(epochs=10, seed=0))
     e2 = cmia_efficacy(enc, head, data, splits, seed=2)
     assert 0.0 <= e1 <= 1.0 and 0.0 <= e2 <= 1.0
     print(f"criterion 9: {checked} score sets match the exhaustive sweep; "

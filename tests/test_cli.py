@@ -20,7 +20,8 @@ from unlearnlab.cli import (
     main,
     resolve_config,
 )
-from unlearnlab import cli
+from unlearnlab import cli, evalsuite
+from unlearnlab.datagen import load_splits
 from unlearnlab.persist import load_encoder, save_encoder, write_feature_dump
 
 
@@ -250,6 +251,58 @@ class TestAuditExitCodes:
         assert "non-finite" in capsys.readouterr().err
         # no feature dump, agm.* or audit.txt: the before dumps are not written first
         assert self._written(out) == ["config.audit.txt"]
+
+
+def probe_argv(cfg, run, out, **paths):
+    return stage_argv("probe", cfg, run, out, **{"encoder": run / "unlearned.bin", **paths})
+
+
+class TestProbeExitCodes:
+    def test_unknown_set_key(self, eval_inputs, tmp_path, capsys):
+        cfg, run = eval_inputs
+        rc = main(probe_argv(cfg, run, tmp_path) + ["--set", "probe.no_such_key=1"])
+        assert rc == EXIT_CONFIG
+        assert "probe.no_such_key" in capsys.readouterr().err
+
+    def test_missing_encoder(self, eval_inputs, tmp_path, capsys):
+        cfg, run = eval_inputs
+        rc = main(probe_argv(cfg, run, tmp_path, encoder=tmp_path / "absent.bin"))
+        assert rc == EXIT_MISSING_INPUT
+        assert "missing encoder checkpoint" in capsys.readouterr().err
+
+    def test_truncated_encoder(self, eval_inputs, tmp_path):
+        cfg, run = eval_inputs
+        blob = (run / "unlearned.bin").read_bytes()
+        (tmp_path / "cut.bin").write_bytes(blob[:len(blob) // 2])
+        assert main(probe_argv(cfg, run, tmp_path, encoder=tmp_path / "cut.bin")) == EXIT_FORMAT
+
+    def test_nan_weight_in_encoder(self, eval_inputs, tmp_path, capsys):
+        cfg, run = eval_inputs
+        net = load_encoder(run / "unlearned.bin")
+        net.layers[0].w[0, 0] = np.nan
+        save_encoder(net, tmp_path / "nan.bin")
+        assert main(probe_argv(cfg, run, tmp_path, encoder=tmp_path / "nan.bin")) == EXIT_NUMERIC
+        assert "non-finite" in capsys.readouterr().err
+        assert not (tmp_path / "probe.txt").exists()
+
+
+class TestProbeForwards:
+    def test_each_split_forwarded_once(self, eval_inputs, tmp_path, monkeypatch):
+        cfg, run = eval_inputs
+        rows = {"encoder": [], "head": []}
+        for module in (cli, evalsuite):
+            real = module.encoder_forward
+
+            def counted(net, batch, real=real):
+                rows["encoder" if net.normalize_output else "head"].append(len(batch))
+                return real(net, batch)
+
+            monkeypatch.setattr(module, "encoder_forward", counted)
+        assert main(probe_argv(cfg, run, tmp_path)) == EXIT_OK
+        splits = load_splits(run / "splits.csv")
+        sizes = sorted([len(splits.retain), len(splits.test), len(splits.unlearn)])
+        assert sorted(rows["encoder"]) == sizes
+        assert sorted(rows["head"]) == sizes
 
 
 class TestAtomicArtifacts:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,7 @@ from hypothesis import strategies as st
 from scipy import special as sp_special
 from scipy import stats as sp_stats
 
-from unlearnlab import evalsuite
+from unlearnlab import evalsuite, seeds
 from unlearnlab.cli import main as cli_main
 from unlearnlab.contrastive import ContrastiveConfig, pretrain
 from unlearnlab.datagen import AugmentorConfig, gen_synthetic, load_dataset, load_splits, split
@@ -33,6 +35,7 @@ from unlearnlab.evalsuite import (
     mi_alignment_scores,
     neg_alignment_stats,
     paired_unlearn_views,
+    probe_logits,
     reg_inc_beta,
     softmax_xent_loss_fn,
     welch_ttest,
@@ -47,6 +50,12 @@ def unit_rows(a):
 
 def identity_encoder(dim):
     return EncoderNet([DenseLayer(np.eye(dim), np.zeros(dim))], normalize_output=True)
+
+
+def probe_on(enc, data, ids, num_classes, cfg):
+    """linear_probe on enc's features of ids."""
+    return linear_probe(encoder_forward(enc, data.samples_for(ids)), data.labels_for(ids),
+                        num_classes, cfg)
 
 
 class TestAlignment:
@@ -305,7 +314,7 @@ class TestProbe:
         data = gen_synthetic(3, 8, 150, 8.0, seed=2)
         enc = identity_encoder(8)
         ids = data.ids
-        head = linear_probe(enc, data, ids, 3, ProbeConfig(epochs=40, batch_size=64, seed=0))
+        head = probe_on(enc, data, ids, 3, ProbeConfig(epochs=40, batch_size=64, seed=0))
         feats = encoder_forward(enc, data.samples_for(ids))
         pred = np.argmax(encoder_forward(head, feats), axis=1)
         assert np.mean(pred == data.labels) > 0.99
@@ -315,8 +324,10 @@ class TestProbe:
         data = gen_synthetic(4, 10, 400, 7.0, seed=3)
         splits = split(data, 0.1, 0.2, 0.0, seed=3)
         enc = init_encoder([10, 8, 6], seed=5)
-        head = linear_probe(enc, data, splits.retain, 4, ProbeConfig(epochs=60, batch_size=128, seed=0))
-        ra, _, _ = classifier_metrics(enc, head, data, splits)
+        split_ids = (splits.retain, splits.test, splits.unlearn)
+        logits = probe_logits(enc, data, split_ids, 4,
+                              ProbeConfig(epochs=60, batch_size=128, seed=0))
+        ra, _, _ = classifier_metrics(logits, [data.labels_for(ids) for ids in split_ids])
 
         feats = encoder_forward(enc, data.samples_for(splits.retain))
         labels = data.labels_for(splits.retain)
@@ -339,13 +350,77 @@ class TestProbe:
 
         monkeypatch.setattr(evalsuite, "loss_and_grads", poisoned)
         with pytest.raises(NumericError, match=r"non-finite probe loss at epoch 1$"):
-            linear_probe(identity_encoder(6), data, data.ids, 3,
-                         ProbeConfig(epochs=2, batch_size=32, seed=0))
+            probe_on(identity_encoder(6), data, data.ids, 3,
+                     ProbeConfig(epochs=2, batch_size=32, seed=0))
+
+    @staticmethod
+    def _reference_probe(feats, labels, num_classes, cfg):
+        """The probe as a plain loop: the head's forward and backward pass,
+        the class-major softmax cross-entropy, and the whole-array momentum
+        update with its cosine step size, in the operation order of
+        loss_and_grads and sgd_momentum_step."""
+        head = init_encoder([feats.shape[1], num_classes], seed=(cfg.seed, seeds.PROBE_INIT),
+                            normalize_output=False)
+        w, b = head.layers[0].w.copy(), head.layers[0].b.copy()
+        buf_w, buf_b = np.zeros_like(w), np.zeros_like(b)
+        n = labels.size
+        starts = range(0, n, cfg.batch_size)
+        total, step = cfg.epochs * len(starts), 0
+        for epoch in range(cfg.epochs):
+            perm = seeds.stream_rng(cfg.seed, seeds.PROBE_SHUFFLE, epoch).permutation(n)
+            for lo in starts:
+                x = feats[perm][lo:lo + cfg.batch_size]
+                y = labels[perm][lo:lo + cfg.batch_size]
+                lt = np.ascontiguousarray((x @ w + b).T)
+                e = np.exp(lt - lt.max(axis=0))
+                g = e / e.sum(axis=0)
+                g[y, np.arange(y.size)] -= 1.0
+                g /= y.size
+                grad_w, grad_b = x.T @ g.T, g.T.sum(axis=0)
+                lr = cfg.lr * 0.5 * (1.0 + math.cos(math.pi * step / total))
+                for p, grad, buf in ((w, grad_w, buf_w), (b, grad_b, buf_b)):
+                    buf *= cfg.momentum
+                    buf += grad
+                    if cfg.weight_decay != 0.0:
+                        buf += cfg.weight_decay * p
+                    p -= lr * buf
+                step += 1
+        return w, b
+
+    @pytest.mark.parametrize("wd", [0.0, 5e-4])
+    def test_head_equals_reference_loop(self, wd):
+        rng = np.random.default_rng(7)
+        feats = unit_rows(rng.normal(size=(300, 16)))
+        labels = rng.integers(0, 5, size=300)
+        # batches of 128, 128 and a short last one of 44
+        cfg = ProbeConfig(epochs=6, lr=1.0, momentum=0.9, weight_decay=wd, batch_size=128,
+                          seed=3)
+        head = linear_probe(feats, labels, 5, cfg)
+        w, b = self._reference_probe(feats, labels, 5, cfg)
+        assert head.layers[0].w.tobytes() == w.tobytes()
+        assert head.layers[0].b.tobytes() == b.tobytes()
+
+    def test_labels_must_align_with_features(self):
+        with pytest.raises(ConfigurationError, match="align"):
+            linear_probe(np.zeros((4, 3)), np.array([0, 1, 0]), 2, ProbeConfig(epochs=1))
+
+    def test_probe_logits_are_the_head_on_each_set(self):
+        data = gen_synthetic(3, 6, 90, 5.0, seed=1)
+        splits = split(data, 0.15, 0.2, 0.0, seed=1)
+        enc = init_encoder([6, 5, 4], seed=0)
+        cfg = ProbeConfig(epochs=5, seed=0)
+        id_sets = (splits.retain, splits.test)
+        logits = probe_logits(enc, data, id_sets, 3, cfg)
+        head = probe_on(enc, data, splits.retain, 3, cfg)
+        assert len(logits) == 2
+        for ids, lg in zip(id_sets, logits):
+            want = encoder_forward(head, encoder_forward(enc, data.samples_for(ids)))
+            assert lg.tobytes() == want.tobytes()
 
     def test_zero_epochs_returns_init_head(self):
         data = gen_synthetic(3, 6, 60, 5.0, seed=0)
         enc = identity_encoder(6)
-        head = linear_probe(enc, data, data.ids, 3, ProbeConfig(epochs=0, seed=4))
+        head = probe_on(enc, data, data.ids, 3, ProbeConfig(epochs=0, seed=4))
         ref = init_encoder([6, 3], seed=(4, 12), normalize_output=False)  # PROBE_INIT tag
         assert np.array_equal(head.layers[0].w, ref.layers[0].w)
 
@@ -388,34 +463,35 @@ class TestProbe:
             np.testing.assert_allclose(grad, ref_grad, rtol=0, atol=1e-15)
 
     def test_classifier_metrics_hand_counts(self):
-        # identity encoder, fixed head: logits = features; labels set so
-        # retain is all correct, unlearn all wrong
-        samples = unit_rows([[1, 0.1], [1, 0.2], [0.1, 1], [0.2, 1]])
+        # labels set so retain (rows 0, 1) is all correct, unlearn (row 2)
+        # and test (row 3) all wrong
+        logits = unit_rows([[1, 0.1], [1, 0.2], [0.1, 1], [0.2, 1]])
         labels = np.array([0, 0, 0, 0])  # argmax rows: 0, 0, 1, 1
-        from unlearnlab.datagen import LabeledDataset, Splits
-
-        data = LabeledDataset(samples, labels, np.arange(4))
-        splits = Splits(
-            train=np.array([0, 1, 2]), retain=np.array([0, 1]),
-            unlearn=np.array([2]), test=np.array([3]), validation=np.array([], dtype=int),
-        )
-        enc = identity_encoder(2)
-        head = EncoderNet([DenseLayer(np.eye(2), np.zeros(2))], normalize_output=False)
-        ra, ta, ua = classifier_metrics(enc, head, data, splits)
+        ra, ta, ua = classifier_metrics((logits[:2], logits[3:], logits[2:3]),
+                                        (labels[:2], labels[3:], labels[2:3]))
         assert (ra, ta, ua) == (100.0, 0.0, 0.0)
+
+    def test_classifier_metrics_labels_must_align(self):
+        test, unlearn = np.zeros((1, 2)), np.zeros((1, 2))
+        # one label for two retain rows would broadcast; two for one unlearn row
+        for retain_labels, unlearn_labels in (([0], [0]), ([0, 1], [0, 1])):
+            with pytest.raises(ConfigurationError, match="align"):
+                classifier_metrics((np.zeros((2, 2)), test, unlearn),
+                                   (np.array(retain_labels), np.array([0]),
+                                    np.array(unlearn_labels)))
 
     def test_confidence_scores_bounded(self):
         data = gen_synthetic(3, 6, 90, 5.0, seed=1)
         enc = identity_encoder(6)
-        head = linear_probe(enc, data, data.ids, 3, ProbeConfig(epochs=10, seed=0))
-        conf = confidence_scores(enc, head, data, data.ids)
+        logits = probe_logits(enc, data, [data.ids], 3, ProbeConfig(epochs=10, seed=0))
+        conf = confidence_scores(logits[0])
         assert np.all(conf > 1.0 / 3.0 - 1e-12) and np.all(conf <= 1.0)
 
     def test_cmia_within_unit_interval(self):
         data = gen_synthetic(3, 8, 240, 6.0, seed=1)
         splits = split(data, 0.15, 0.2, 0.0, seed=1)
         enc = init_encoder([8, 6, 4], seed=0)
-        head = linear_probe(enc, data, splits.retain, 3, ProbeConfig(epochs=10, seed=0))
+        head = probe_on(enc, data, splits.retain, 3, ProbeConfig(epochs=10, seed=0))
         eff = cmia_efficacy(enc, head, data, splits, seed=2)
         assert 0.0 <= eff <= 1.0
 
@@ -511,12 +587,36 @@ class TestEvaluate:
         enc = run["encoders"]["unlearned"]
         rep = self._evaluate(run, {"c": enc})["c"]
         fs, _ = forgetting_score(run["before"], enc, data, splits.unlearn, aug, seed)
-        head = linear_probe(enc, data, splits.retain, 3, run["probe"])
-        ra, ta, ua = classifier_metrics(enc, head, data, splits)
+        split_ids = (splits.retain, splits.test, splits.unlearn)
+        logits = probe_logits(enc, data, split_ids, 3, run["probe"])
+        ra, ta, ua = classifier_metrics(logits, [data.labels_for(ids) for ids in split_ids])
+        head = probe_on(enc, data, splits.retain, 3, run["probe"])
         assert rep.metrics() == {
             "fs": fs, "emia": encoder_mi_efficacy(enc, data, splits, aug, seed),
             "cmia": cmia_efficacy(enc, head, data, splits, seed), "ra": ra, "ta": ta, "ua": ua,
         }
+
+    def test_each_id_set_forwarded_once(self, criterion_12_run, monkeypatch):
+        run = criterion_12_run
+        pool = [run["encoders"]["unlearned"], run["encoders"]["retrain"], run["before"]]
+        real, rows = evalsuite.encoder_forward, {}
+
+        def counted(net, batch):
+            kind = "encoder" if any(net is e for e in pool) else "head"
+            rows[kind] = rows.get(kind, 0) + len(batch)
+            return real(net, batch)
+
+        monkeypatch.setattr(evalsuite, "encoder_forward", counted)
+        splits = run["splits"]
+        r, t, u = len(splits.retain), len(splits.test), len(splits.unlearn)
+        m = t  # the member sample is as large as the test split
+        for k in (1, 2, 3):
+            rows.clear()
+            self._evaluate(run, {f"e{i}": pool[i] for i in range(k)})
+            # per encoder: the audit pair, the MI views, retain, test, unlearn
+            # and members once each; before forwards the audit pair
+            per_encoder = 2 * u + 10 * (m + t + u) + r + t + u + m
+            assert rows == {"encoder": k * per_encoder + 2 * u, "head": k * (r + t + u + m)}, k
 
     def test_views_built_once_per_pass(self, criterion_12_run, monkeypatch):
         run = criterion_12_run
