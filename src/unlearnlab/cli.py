@@ -296,6 +296,11 @@ def _load_data_splits(cfg: dict, args):
     splits_path = Path(args.splits) if args.splits else out / "splits.csv"
     data = load_dataset(_require(data_path, "dataset"))
     splits = load_splits(_require(splits_path, "splits"))
+    ids = np.concatenate([splits.train, splits.test, splits.validation])
+    unknown = ids[~np.isin(ids, data.ids)]
+    if len(unknown):
+        raise DataFormatError(f"{splits_path}: split id {int(unknown[0])} is not in "
+                              f"the dataset {data_path}")
     return data, splits
 
 

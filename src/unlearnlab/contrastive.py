@@ -275,8 +275,9 @@ def pretrain_on_ids(
         perm = seeds.stream_rng(cfg.seed, seeds.SHUFFLE_MAIN, epoch).permutation(ids)
         block = draw_view_block(data, aug, cfg.seed, epoch)
         for step, chunk in enumerate(batch_chunks(perm, cfg.batch_size)):
-            xs, ys = paired_views_for_ids(data, chunk, aug, cfg.seed, epoch, block)
-            loss, grads = loss_and_grads(net, np.vstack([xs, ys]), loss_fn)
+            stack = np.empty((2 * len(chunk), data.dim))
+            paired_views_for_ids(data, chunk, aug, cfg.seed, epoch, block, out=stack)
+            loss, grads = loss_and_grads(net, stack, loss_fn)
             try:  # the optimizer rejects a non-finite gradient before writing
                 if not np.isfinite(loss):
                     raise NumericError("non-finite loss")

@@ -99,6 +99,8 @@ class Splits:
     def __post_init__(self):
         for name in ("train", "retain", "unlearn", "test", "validation"):
             arr = np.sort(np.asarray(getattr(self, name), dtype=np.int64))
+            if np.any(arr[1:] == arr[:-1]):
+                raise ConfigurationError(f"{name} lists an id twice")
             setattr(self, name, arr)
         if len(self.retain) == 0 or len(self.unlearn) == 0:
             raise ConfigurationError("retain and unlearn sets must be non-empty")
@@ -267,33 +269,35 @@ def split(
 
 
 def _jitter(x: np.ndarray, scale, noise: np.ndarray, drop: np.ndarray,
-            cfg: AugmentorConfig) -> np.ndarray:
-    """Vector-mode view: scale, add noise, zero the dropped coordinates.
-    Arguments broadcast, so one formula serves one view or a batch."""
-    view = x * scale + cfg.noise_sigma * noise
+            cfg: AugmentorConfig, out: np.ndarray) -> np.ndarray:
+    """Vector-mode views into out: scale, add noise, zero the dropped
+    coordinates.  Arguments broadcast, so one formula serves one sample
+    or a batch."""
+    np.multiply(x, scale, out=out)
+    out += cfg.noise_sigma * noise
     if cfg.mask_prob > 0.0:
-        view = np.where(drop, 0.0, view)
-    return view
-
-
-_SPAN = np.arange(32)
-# offset of each channel's plane in a padded (3, 40, 40) image
-_PLANES = np.arange(3)[:, None, None] * (40 * 40)
+        np.copyto(out, 0.0, where=drop)
+    return out
 
 
 def _crop_flip(imgs: np.ndarray, top: np.ndarray, left: np.ndarray,
-               flip: np.ndarray) -> np.ndarray:
-    """Image-mode views of m flattened 3x32x32 images: pad 4 zero pixels,
-    crop 32x32 at (top, left) and mirror the columns where flip is set,
-    as one flat take from the padded batch."""
-    m = imgs.shape[0]
-    padded = np.zeros((m, 3, 40, 40))
-    padded[:, :, 4:36, 4:36] = imgs.reshape(m, 3, 32, 32)
-    rows = top[:, None] + _SPAN
-    cols = left[:, None] + np.where(flip[:, None], 31 - _SPAN, _SPAN)
-    at = (np.arange(m)[:, None, None] * (3 * 40 * 40) + rows[:, :, None] * 40
-          + cols[:, None, :])  # (m, 32, 32): a pixel's offset in channel 0
-    return padded.reshape(-1).take(at[:, None] + _PLANES).reshape(m, CIFAR_PIXELS)
+               flip: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Image-mode views of m flattened 3x32x32 images into out (m, 3072):
+    the 32x32 window at (top, left) of the image padded by 4 zero pixels,
+    mirrored where flip is set.  Each view is one slice copy of the
+    window's overlap with the image into zeroed rows, so every value is a
+    copied pixel or +0.0."""
+    src = imgs.reshape(-1, 3, 32, 32)
+    dst = out.reshape(-1, 3, 32, 32)
+    out.fill(0.0)
+    for k, (t, l, f) in enumerate(zip(top.tolist(), left.tolist(), flip.tolist())):
+        r0, r1, c0, c1 = max(4 - t, 0), min(36 - t, 32), max(4 - l, 0), min(36 - l, 32)
+        win = src[k, :, r0 + t - 4:r1 + t - 4, c0 + l - 4:c1 + l - 4]
+        if f:
+            dst[k, :, r0:r1, 32 - c1:32 - c0] = win[..., ::-1]
+        else:
+            dst[k, :, r0:r1, c0:c1] = win
+    return out
 
 
 def _check_image_dim(dim: int) -> None:
@@ -309,10 +313,11 @@ def augment_views(sample, cfg: AugmentorConfig, n_views: int, rng) -> np.ndarray
     if n_views < 1:
         raise ConfigurationError("n_views must be >= 1")
     d = _draw_views(rng, cfg, sample.shape[0], (n_views,))
+    out = np.empty((n_views, sample.shape[0]))
     if cfg.image_mode:
-        imgs = np.broadcast_to(sample, (n_views, sample.shape[0]))
-        return _crop_flip(imgs, d["offsets"][:, 0], d["offsets"][:, 1], d["flip"])
-    return _jitter(sample, d["scale"][:, None], d["noise"], d["drop"], cfg)
+        imgs = np.broadcast_to(sample, out.shape)
+        return _crop_flip(imgs, d["offsets"][:, 0], d["offsets"][:, 1], d["flip"], out)
+    return _jitter(sample, d["scale"][:, None], d["noise"], d["drop"], cfg, out)
 
 
 @dataclass(eq=False)
@@ -330,22 +335,33 @@ class ViewBlock:
     data_rows: np.ndarray
     draws: dict
 
-    def pairs(self, ids) -> tuple[np.ndarray, np.ndarray]:
-        """Both views of the given ids, row-aligned with them."""
+    def pairs(self, ids, out=None) -> tuple[np.ndarray, np.ndarray]:
+        """Both views of the given ids, row-aligned with them, written to
+        out[:m] (first views) and out[m:] (second views) of a C-contiguous
+        float64 (2m, d) array, allocated when out is None."""
         ids = np.asarray(ids, dtype=np.int64)
         pos = np.searchsorted(self.ids, ids)
         found = self.ids[np.minimum(pos, len(self.ids) - 1)] == ids
         if not found.all():
             raise ConfigurationError(f"unknown sample id {int(ids[np.argmin(found)])}")
+        m, shape = len(ids), (2 * len(ids), self.data.dim)
+        if out is None:
+            out = np.empty(shape)
+        elif (out.shape != shape or out.dtype != np.float64
+              or not out.flags.c_contiguous):
+            raise ConfigurationError(f"view output must be a C-contiguous float64 "
+                                     f"{shape} array")
         x = self.data.samples[self.data_rows[pos]]
         d = self.draws
-        if self.cfg.image_mode:
-            off, flip = d["offsets"][pos], d["flip"][pos]
-            return tuple(_crop_flip(x, off[:, v, 0], off[:, v, 1], flip[:, v])
-                         for v in (0, 1))
-        views = _jitter(x[:, None, :], d["scale"][pos][:, :, None], d["noise"][pos],
-                        d["drop"][pos], self.cfg)
-        return views[:, 0], views[:, 1]
+        halves = out[:m], out[m:]
+        for v, half in enumerate(halves):
+            if self.cfg.image_mode:
+                off = d["offsets"][pos, v]
+                _crop_flip(x, off[:, 0], off[:, 1], d["flip"][pos, v], half)
+            else:
+                _jitter(x, d["scale"][pos, v][:, None], d["noise"][pos, v],
+                        d["drop"][pos, v], self.cfg, half)
+        return halves
 
 
 _MASK_CHUNK = 1 << 20  # mask uniforms drawn per chunk (8 MiB of float64)
@@ -386,18 +402,19 @@ def draw_view_block(data: LabeledDataset, cfg: AugmentorConfig, seed: int,
 
 def paired_views_for_ids(
     data: LabeledDataset, ids, cfg: AugmentorConfig, seed: int, epoch: int,
-    block: ViewBlock | None = None,
+    block: ViewBlock | None = None, out: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The two training views of each (seed, id, epoch) as row-aligned
-    matrices.  Training loops pass the epoch's block so it is drawn once
-    per epoch; without one it is drawn here."""
+    matrices, the two halves of out when given (see ViewBlock.pairs).
+    Training loops pass the epoch's block so it is drawn once per epoch;
+    without one it is drawn here."""
     if block is None:
         block = draw_view_block(data, cfg, seed, epoch)
     elif not (block.data is data and block.cfg == cfg
               and (block.seed, block.epoch) == (seed, epoch)):
         raise ConfigurationError("view block was drawn for another dataset, "
                                  "augmentation, seed or epoch")
-    return block.pairs(ids)
+    return block.pairs(ids, out)
 
 
 # --- plain-text serialization -------------------------------------------------
@@ -482,6 +499,7 @@ def load_splits(path: str) -> Splits:
     if not os.path.isfile(path):
         raise DataFormatError(f"{path}: no such file")
     buckets: dict[str, list[int]] = {p: [] for p in _SPLIT_PARTS}
+    line_of: dict[int, int] = {}
     with open(path, newline="", errors="replace") as f:
         reader = csv.reader(f)
         header = next(reader, None)
@@ -496,6 +514,9 @@ def load_splits(path: str) -> Splits:
                 raise DataFormatError(f"{path}:{lineno}: bad id {row[0]!r}") from None
             if not _INT64.min <= sid <= _INT64.max:
                 raise DataFormatError(f"{path}:{lineno}: id {sid} is outside int64")
+            if sid in line_of:
+                raise DataFormatError(f"{path}:{lineno}: id {sid} repeats line {line_of[sid]}")
+            line_of[sid] = lineno
             buckets[row[1]].append(sid)
     train = np.array(sorted(buckets["retain"] + buckets["unlearn"]), dtype=np.int64)
     try:

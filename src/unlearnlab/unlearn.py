@@ -366,25 +366,28 @@ def _run_unlearn_sgd(
             side = _tile_ids(sideperm, len(chunks), side_width)
         block = draw_view_block(data, aug, seed, epoch)
         for step, chunk in enumerate(chunks):
-            xs, ys = paired_views_for_ids(data, chunk, aug, seed, epoch, block)
+            # one stack [xs; ys] of the chunk's views, then [ux; uy] of the
+            # side ids when the method uses them
+            rows = 2 * len(chunk)
+            stack = np.empty((rows + (2 * side_width if needs_side else 0), data.dim))
+            paired_views_for_ids(data, chunk, aug, seed, epoch, block, out=stack[:rows])
+            if needs_side:
+                paired_views_for_ids(data, side[step], aug, seed, epoch, block, out=stack[rows:])
             if method == "ac" and unlearn_scale != 0.0:
-                ux, uy = paired_views_for_ids(data, side[step], aug, seed, epoch, block)
-                stack = np.vstack([xs, ys, ux, uy])
                 fn = ac_fns.get(len(chunk))
                 if fn is None:
                     fn = ac_fns[len(chunk)] = ac_stack_loss_fn(
                         len(chunk), side_width, cfg, unlearn_scale, ac_work)
                 loss, grads = loss_and_grads(net, stack, fn)
             elif method == "neggrad":
-                loss_r, grads = loss_and_grads(net, np.vstack([xs, ys]), nce)
-                ux, uy = paired_views_for_ids(data, side[step], aug, seed, epoch, block)
-                loss_u, g_u = loss_and_grads(net, np.vstack([ux, uy]), nce)
+                loss_r, grads = loss_and_grads(net, stack[:rows], nce)
+                loss_u, g_u = loss_and_grads(net, stack[rows:], nce)
                 grads.axpy(-ascent_weight, g_u)
                 loss = loss_r - ascent_weight * loss_u
             else:
                 # retain-only descent (finetune / l1sparsity / calibration at
                 # scale 0) or ascent on the unlearn set
-                loss, grads = loss_and_grads(net, np.vstack([xs, ys]), nce)
+                loss, grads = loss_and_grads(net, stack, nce)
                 if ascent_only:
                     grads.scale(-1.0)
                 elif l1_coeff > 0.0:

@@ -286,6 +286,48 @@ class TestProbeExitCodes:
         assert not (tmp_path / "probe.txt").exists()
 
 
+_TRAINING_FAULTS = [
+    *[(cmd, fault, code) for cmd in ("pretrain", "retrain", "unlearn") for fault, code in (
+        ("image_mode", EXIT_CONFIG), ("missing_splits", EXIT_MISSING_INPUT),
+        ("repeated_id", EXIT_FORMAT), ("unknown_id", EXIT_FORMAT))],
+    ("retrain", "lr", EXIT_NUMERIC),
+    ("unlearn", "lr", EXIT_NUMERIC),
+]
+
+
+class TestTrainingExitCodes:
+    """pretrain, retrain and unlearn (ac); a failed call leaves only its
+    config snapshot."""
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("command,fault,code", _TRAINING_FAULTS)
+    def test_exit_code(self, eval_inputs, tmp_path, capsys, command, fault, code):
+        cfg, run = eval_inputs
+        inputs = tmp_path / "in"
+        inputs.mkdir()
+        paths = {"encoder": run / "encoder.bin"} if command == "unlearn" else {}
+        sets = []
+        if fault == "image_mode":
+            sets = ["aug.image_mode=true"]
+        elif fault == "missing_splits":
+            paths["splits"] = inputs / "absent.csv"
+        elif fault == "lr":
+            sets = [f"{'pretrain' if command == 'retrain' else 'unlearn'}.lr=1e300"]
+        else:  # the run's splits plus a repeated id, or an id the dataset lacks
+            lines = (run / "splits.csv").read_text().splitlines()
+            lines.append(lines[1] if fault == "repeated_id" else "999999,test")
+            paths["splits"] = inputs / "splits.csv"
+            paths["splits"].write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        argv = stage_argv(command, cfg, run, out, **paths)
+        assert main(argv + [a for kv in sets for a in ("--set", kv)]) == code
+        assert sorted(p.name for p in out.iterdir()) == [f"config.{command}.txt"]
+        if code == EXIT_FORMAT:
+            err = capsys.readouterr().err
+            assert str(paths["splits"]) in err
+            assert ("repeats line" if fault == "repeated_id" else "split id 999999") in err
+
+
 class TestProbeForwards:
     def test_each_split_forwarded_once(self, eval_inputs, tmp_path, monkeypatch):
         cfg, run = eval_inputs

@@ -175,6 +175,13 @@ class TestSplit:
                 validation=np.array([], dtype=int),
             )
 
+    @pytest.mark.parametrize("part", ["retain", "test"])
+    def test_splits_constructor_rejects_repeated_id(self, part):
+        parts = dict(train=[1, 2, 3], retain=[1, 2], unlearn=[3], test=[7, 8], validation=[])
+        parts[part] = parts[part] + parts[part][:1]
+        with pytest.raises(ConfigurationError, match=f"{part} lists an id twice"):
+            Splits(**{k: np.array(v, dtype=np.int64) for k, v in parts.items()})
+
 
 class TestAugment:
     def test_identity_config_reproduces_sample(self):
@@ -303,6 +310,59 @@ class TestReplayViews:
             ref = _reference_crop(x, *offsets[v], flip[v])
             assert views[v].tobytes() == ref.tobytes()
         assert flip.any() and not flip.all()
+
+
+class TestCropFlip:
+    """_crop_flip against _reference_crop at every offset and flip."""
+
+    OFFSETS = [(t, l, f) for t in range(9) for l in range(9) for f in (False, True)]
+
+    def _check(self, imgs):
+        top, left, flip = (np.array(c) for c in zip(*self.OFFSETS))
+        out = np.full((len(self.OFFSETS), 3072), np.nan)  # every value is written
+        got = datagen._crop_flip(imgs, top, left, flip, out)
+        assert got is out
+        for k, (t, l, f) in enumerate(self.OFFSETS):
+            assert out[k].tobytes() == _reference_crop(imgs[k], t, l, f).tobytes()
+
+    def test_batch_of_distinct_images(self):
+        self._check(np.random.default_rng(3).random((len(self.OFFSETS), 3072)) + 0.5)
+
+    def test_one_sample_broadcast(self):
+        x = np.random.default_rng(4).random(3072) + 0.5
+        self._check(np.broadcast_to(x, (len(self.OFFSETS), 3072)))
+
+
+class TestViewOutput:
+    """paired_views_for_ids(..., out=buf) writes both views into buf."""
+
+    def _case(self, image_mode):
+        rng = np.random.default_rng(5)
+        d = 3072 if image_mode else 6
+        ds = LabeledDataset(rng.random((10, d)), np.zeros(10, dtype=int), rng.permutation(10))
+        return ds, AugmentorConfig(image_mode=image_mode, mask_prob=0.3), ds.ids[[4, 1, 7]]
+
+    @pytest.mark.parametrize("image_mode", [False, True])
+    @pytest.mark.parametrize("extra", [0, 5])
+    def test_halves_are_views_of_out(self, image_mode, extra):
+        ds, cfg, ids = self._case(image_mode)
+        want = paired_views_for_ids(ds, ids, cfg, 2, 1)
+        stack = np.full((6 + extra, ds.dim), np.nan)
+        buf = stack[:6]
+        got = paired_views_for_ids(ds, ids, cfg, 2, 1, out=buf)
+        assert [g.ctypes.data for g in got] == [buf.ctypes.data, buf[3:].ctypes.data]
+        for g, w in zip(got, want):
+            assert g.shape == (3, ds.dim) and g.tobytes() == w.tobytes()
+        assert np.isnan(stack[6:]).all()
+
+    @pytest.mark.parametrize("image_mode", [False, True])
+    def test_bad_out_rejected(self, image_mode):
+        ds, cfg, ids = self._case(image_mode)
+        d = ds.dim
+        for bad in (np.empty((5, d)), np.empty((6, d + 1)),
+                    np.empty((6, d), dtype=np.float32), np.empty((d, 6)).T):
+            with pytest.raises(ConfigurationError, match="C-contiguous float64"):
+                paired_views_for_ids(ds, ids, cfg, 2, 1, out=bad)
 
 
 class TestTrainingViews:
@@ -461,6 +521,13 @@ class TestSerialization:
         p = tmp_path / "sp.csv"
         p.write_text("id,part\n0,retain\n99999999999999999999,unlearn\n")
         with pytest.raises(DataFormatError, match=r"sp\.csv:3: id 99999999999999999999"):
+            load_splits(str(p))
+
+    @pytest.mark.parametrize("second", ["retain", "test"])
+    def test_splits_repeated_id_names_both_lines(self, tmp_path, second):
+        p = tmp_path / "sp.csv"
+        p.write_text(f"id,part\n1,retain\n2,unlearn\n1,{second}\n")
+        with pytest.raises(DataFormatError, match=r"sp\.csv:4: id 1 repeats line 2"):
             load_splits(str(p))
 
     def test_splits_bad_part_rejected(self, tmp_path):

@@ -2,7 +2,16 @@ import numpy as np
 import pytest
 
 from unlearnlab import datagen, seeds, unlearn
-from unlearnlab.contrastive import ContrastiveConfig, info_nce_batch, info_nce_loss_fn, pretrain
+from unlearnlab.contrastive import (
+    ContrastiveConfig,
+    PairWorkspace,
+    batch_chunks,
+    info_nce_batch,
+    info_nce_loss_fn,
+    pretrain,
+    pretrain_on_ids,
+    steps_per_epoch,
+)
 from unlearnlab.datagen import AugmentorConfig, gen_synthetic, paired_views_for_ids, split
 from unlearnlab.diffcore import (
     DenseLayer,
@@ -10,8 +19,10 @@ from unlearnlab.diffcore import (
     cosine_lr,
     encoder_forward,
     finite_diff_check,
+    OptState,
     init_encoder,
     loss_and_grads,
+    sgd_momentum_step,
 )
 from unlearnlab.errors import ConfigurationError, NumericError
 from unlearnlab.unlearn import (
@@ -348,3 +359,79 @@ class TestRuns:
             ACConfig(negpair_weight=-1.0)
         with pytest.raises(ConfigurationError):
             ACConfig(unlearn_scale=-0.5)
+
+
+def _image_problem():
+    rng = np.random.default_rng(8)
+    data = datagen.LabeledDataset(rng.random((30, 3072)), np.arange(30) % 3,
+                                  rng.permutation(np.arange(100, 130)))
+    return data, split(data, 0.2, 0.0, 0.0, seed=2), AugmentorConfig(image_mode=True)
+
+
+def _reference_views(data, ids, aug, seed, epoch):
+    """The stack [xs; ys] as the training loops once built it."""
+    return np.vstack(paired_views_for_ids(data, ids, aug, seed, epoch))
+
+
+def _reference_pretrain(data, ids, cfg, arch, aug):
+    net = init_encoder(arch, seed=(cfg.seed, seeds.NET_INIT))
+    opt = OptState(base_lr=cfg.base_lr, momentum=cfg.momentum, weight_decay=cfg.weight_decay,
+                   total_steps=cfg.epochs * steps_per_epoch(len(ids), cfg.batch_size))
+    nce = info_nce_loss_fn(cfg.temperature)
+    for epoch in range(cfg.epochs):
+        perm = seeds.stream_rng(cfg.seed, seeds.SHUFFLE_MAIN, epoch).permutation(ids)
+        for chunk in batch_chunks(perm, cfg.batch_size):
+            _, grads = loss_and_grads(net, _reference_views(data, chunk, aug, cfg.seed, epoch), nce)
+            sgd_momentum_step(net, grads, opt)
+    return net
+
+
+def _reference_unlearn(start, data, splits, aug, cfg, scale=None, ascent_weight=None):
+    """AC at `scale`, or neggrad when ascent_weight is given."""
+    net = start.copy()
+    width = min(cfg.unlearn_batch, len(splits.unlearn))
+    opt = OptState(base_lr=cfg.lr, momentum=cfg.momentum, weight_decay=cfg.weight_decay,
+                   total_steps=cfg.epochs * steps_per_epoch(len(splits.retain), cfg.retain_batch))
+    nce = info_nce_loss_fn(cfg.temperature, allow_singleton=True)
+    for epoch in range(cfg.epochs):
+        views = lambda ids: _reference_views(data, ids, aug, cfg.seed, epoch)
+        perm = seeds.stream_rng(cfg.seed, seeds.SHUFFLE_MAIN, epoch).permutation(splits.retain)
+        chunks = batch_chunks(perm, cfg.retain_batch)
+        sideperm = seeds.stream_rng(cfg.seed, seeds.SHUFFLE_SIDE, epoch).permutation(splits.unlearn)
+        for chunk, side in zip(chunks, unlearn._tile_ids(sideperm, len(chunks), width)):
+            if ascent_weight is None:
+                fn = ac_stack_loss_fn(len(chunk), width, cfg, scale, PairWorkspace())
+                _, grads = loss_and_grads(net, np.vstack([views(chunk), views(side)]), fn)
+            else:
+                _, grads = loss_and_grads(net, views(chunk), nce)
+                _, g_u = loss_and_grads(net, views(side), nce)
+                grads.axpy(-ascent_weight, g_u)
+            sgd_momentum_step(net, grads, opt)
+    return net
+
+
+class TestImageModeTraining:
+    """The loops fill each step's stack in place; the trained encoders
+    equal loops that vstack freshly built views, bit for bit."""
+
+    @staticmethod
+    def _same(a, b):
+        assert all(x.tobytes() == y.tobytes() for x, y in zip(a.param_arrays(), b.param_arrays()))
+
+    def test_pretrain_on_ids(self):
+        data, splits, aug = _image_problem()
+        cfg = ContrastiveConfig(epochs=2, batch_size=8, seed=3)
+        got = pretrain_on_ids(data, splits.train, cfg, [3072, 8, 4], aug)
+        self._same(got, _reference_pretrain(data, splits.train, cfg, [3072, 8, 4], aug))
+
+    def test_run_ac_and_neggrad(self):
+        data, splits, aug = _image_problem()
+        start = init_encoder([3072, 8, 4], seed=(1, seeds.NET_INIT))
+        cfg = ACConfig(epochs=2, lr=0.05, retain_batch=8, unlearn_batch=4,
+                       unlearn_scale=0.5, seed=4)
+        self._same(run_ac(start, data, splits, cfg, aug),
+                   _reference_unlearn(start, data, splits, aug, cfg, scale=0.5))
+        m = UnlearnMethod(name="neggrad", epochs=2, lr=0.05, retain_batch=8, unlearn_batch=4,
+                          ascent_weight=0.7, seed=4)
+        self._same(run_baseline(start, data, splits, m, aug),
+                   _reference_unlearn(start, data, splits, aug, m, ascent_weight=0.7))
