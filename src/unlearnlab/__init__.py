@@ -26,7 +26,7 @@ from .evalsuite import (
     welch_ttest,
 )
 from .persist import load_encoder, save_encoder
-from .unlearn import ACConfig, UnlearnMethod, retrain, run_ac, run_baseline
+from .unlearn import ACConfig, retrain, run_ac
 
 __version__ = "0.1.0"
 
@@ -46,7 +46,6 @@ __all__ = [
     "SummaryStats",
     "TTestResult",
     "UnlearnLabError",
-    "UnlearnMethod",
     "alignment_gap",
     "alignment_matrix",
     "encoder_forward",
@@ -64,7 +63,6 @@ __all__ = [
     "pretrain",
     "retrain",
     "run_ac",
-    "run_baseline",
     "save_encoder",
     "split",
     "welch_ttest",

@@ -9,6 +9,7 @@ resolved-config snapshot next to its outputs so reruns are diffable.
 
 import argparse
 import dataclasses
+import math
 import os
 import sys
 from pathlib import Path
@@ -53,7 +54,7 @@ from .persist import (
     write_heatmap_pgm,
     write_matrix_csv,
 )
-from .unlearn import ACConfig, UnlearnMethod, retrain, run_ac, run_baseline
+from .unlearn import ACConfig, retrain, run_ac
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -64,6 +65,24 @@ EXIT_NUMERIC = 5
 OUT_ENV_VAR = "UNLEARNLAB_OUT"
 
 REPORT_FIELDS = ("fs", "emia", "cmia", "ra", "ta", "ua")
+
+# The config sections each dataclass reads: prefix -> (class, the keys not
+# named after their field, as field -> key suffix). Every field but seed is
+# one key whose default is the field's; seed reads the global key.
+_SECTIONS = {
+    "aug": (AugmentorConfig, {}),
+    "pretrain": (ContrastiveConfig, {"base_lr": "lr"}),
+    "unlearn": (ACConfig, {"unlearn_scale": "scale"}),
+    "probe": (ProbeConfig, {}),
+}
+
+
+def _section_fields(prefix: str) -> dict:
+    """Config key -> dataclass field of one section."""
+    cls, renames = _SECTIONS[prefix]
+    return {"seed" if f.name == "seed" else f"{prefix}.{renames.get(f.name, f.name)}": f
+            for f in dataclasses.fields(cls)}
+
 
 # Flat config schema: key -> default. Types are inferred from the
 # defaults; unlearn.scale is a string so "auto" can coexist with floats.
@@ -80,38 +99,40 @@ _DEFAULTS = {
     "split.test_fraction": 0.1,
     "split.val_fraction": 0.0,
     "arch": "16,32,16",
-    "aug.noise_sigma": 0.1,
-    "aug.mask_prob": 0.05,
-    "aug.scale_lo": 0.9,
-    "aug.scale_hi": 1.1,
-    "aug.image_mode": False,
-    "pretrain.temperature": 0.5,
-    "pretrain.batch_size": 128,
-    "pretrain.epochs": 200,
-    "pretrain.lr": 0.06,
-    "pretrain.momentum": 0.9,
-    "pretrain.weight_decay": 5e-4,
-    "unlearn.method": "ac",
-    "unlearn.epochs": 10,
-    "unlearn.lr": 0.01,
-    "unlearn.temperature": 0.5,
-    "unlearn.momentum": 0.9,
-    "unlearn.weight_decay": 0.0,
-    "unlearn.retain_batch": 128,
-    "unlearn.unlearn_batch": 32,
-    "unlearn.negpair_weight": 1.0,
-    "unlearn.forget_weight": 1.0,
-    "unlearn.preserve_weight": 1.0,
-    "unlearn.scale": "auto",
-    "unlearn.l1_coeff": 0.0,
-    "unlearn.ascent_weight": 1.0,
-    "probe.epochs": 100,
-    "probe.lr": 1.0,
-    "probe.momentum": 0.9,
-    "probe.weight_decay": 0.0,
-    "probe.batch_size": 512,
+    **{key: "auto" if f.default is None else f.default
+       for prefix in _SECTIONS for key, f in _section_fields(prefix).items() if key != "seed"},
     "sweep.negpair_weights": "1",
     "sweep.forget_weights": "0,4,8",
+}
+
+
+def _finite(key: str, text: str) -> float:
+    try:
+        val = float(text)
+    except ValueError:
+        raise ConfigurationError(f"{key}: expected a number, got {text!r}")
+    if not math.isfinite(val):
+        raise ConfigurationError(f"{key}: expected a finite number, got {text!r}")
+    return val
+
+
+def _unlearn_scale(key: str, text: str):
+    return None if text == "auto" else _finite(key, text)
+
+
+def _parse_grid(key: str, text: str) -> list:
+    vals = [_finite(key, t) for t in text.split(",") if t.strip()]
+    if not vals:
+        raise ConfigurationError(f"{key}: empty grid")
+    return vals
+
+
+# String keys whose text holds numbers: checked when a value is read, so a
+# bad one is named with its file and line, and converted where it is used.
+_NUMERIC_TEXT = {
+    "unlearn.scale": _unlearn_scale,
+    "sweep.negpair_weights": _parse_grid,
+    "sweep.forget_weights": _parse_grid,
 }
 
 
@@ -133,10 +154,9 @@ def _parse_value(key: str, text: str):
         except ValueError:
             raise ConfigurationError(f"{key}: expected an integer, got {text!r}")
     if isinstance(default, float):
-        try:
-            return float(text)
-        except ValueError:
-            raise ConfigurationError(f"{key}: expected a number, got {text!r}")
+        return _finite(key, text)
+    if key in _NUMERIC_TEXT:
+        _NUMERIC_TEXT[key](key, text)
     return text
 
 
@@ -200,6 +220,13 @@ def _write_text(path: Path, text: str) -> None:
         f.write(text)
 
 
+def _write_lines(path: Path, lines: list) -> None:
+    """Write lines as a text artifact, then echo them."""
+    _write_text(path, "\n".join(lines) + "\n")
+    for line in lines:
+        print(line)
+
+
 def _snapshot(cfg: dict, out: Path, command: str) -> None:
     _write_text(out / f"config.{command}.txt", format_config(cfg))
 
@@ -220,74 +247,11 @@ def _parse_arch(cfg: dict) -> list:
     return dims
 
 
-def _parse_grid(text: str, what: str) -> list:
-    try:
-        vals = [float(t) for t in str(text).split(",") if t.strip()]
-    except ValueError:
-        raise ConfigurationError(f"{what}: expected comma-separated numbers, got {text!r}")
-    if not vals:
-        raise ConfigurationError(f"{what}: empty grid")
-    return vals
-
-
-def _aug_config(cfg: dict) -> AugmentorConfig:
-    return AugmentorConfig(
-        noise_sigma=cfg["aug.noise_sigma"],
-        mask_prob=cfg["aug.mask_prob"],
-        scale_lo=cfg["aug.scale_lo"],
-        scale_hi=cfg["aug.scale_hi"],
-        image_mode=cfg["aug.image_mode"],
-    )
-
-
-def _contrastive_config(cfg: dict) -> ContrastiveConfig:
-    return ContrastiveConfig(
-        temperature=cfg["pretrain.temperature"],
-        batch_size=cfg["pretrain.batch_size"],
-        epochs=cfg["pretrain.epochs"],
-        base_lr=cfg["pretrain.lr"],
-        momentum=cfg["pretrain.momentum"],
-        weight_decay=cfg["pretrain.weight_decay"],
-        seed=cfg["seed"],
-    )
-
-
-def _unlearn_scale(cfg: dict):
-    raw = str(cfg["unlearn.scale"]).strip()
-    if raw == "auto":
-        return None
-    try:
-        return float(raw)
-    except ValueError:
-        raise ConfigurationError(f"unlearn.scale: expected 'auto' or a number, got {raw!r}")
-
-
-def _ac_config(cfg: dict) -> ACConfig:
-    return ACConfig(
-        negpair_weight=cfg["unlearn.negpair_weight"],
-        forget_weight=cfg["unlearn.forget_weight"],
-        preserve_weight=cfg["unlearn.preserve_weight"],
-        unlearn_scale=_unlearn_scale(cfg),
-        epochs=cfg["unlearn.epochs"],
-        lr=cfg["unlearn.lr"],
-        temperature=cfg["unlearn.temperature"],
-        momentum=cfg["unlearn.momentum"],
-        weight_decay=cfg["unlearn.weight_decay"],
-        retain_batch=cfg["unlearn.retain_batch"],
-        unlearn_batch=cfg["unlearn.unlearn_batch"],
-        seed=cfg["seed"],
-    )
-
-
-def _probe_config(cfg: dict) -> ProbeConfig:
-    return ProbeConfig(
-        epochs=cfg["probe.epochs"],
-        lr=cfg["probe.lr"],
-        momentum=cfg["probe.momentum"],
-        weight_decay=cfg["probe.weight_decay"],
-        batch_size=cfg["probe.batch_size"],
-        seed=cfg["seed"],
-    )
+def _config(cfg: dict, prefix: str):
+    """The dataclass of one config section, built from its keys."""
+    return _SECTIONS[prefix][0](**{
+        f.name: _NUMERIC_TEXT[key](key, cfg[key]) if key in _NUMERIC_TEXT else cfg[key]
+        for key, f in _section_fields(prefix).items()})
 
 
 def _load_data_splits(cfg: dict, args):
@@ -313,6 +277,13 @@ def _write_report_files(out: Path, stem: str, metrics: dict) -> None:
     _write_text(out / f"{stem}.txt", "\n".join(lines) + "\n")
     csv = ",".join(REPORT_FIELDS) + "\n" + ",".join(_fmt(metrics[k]) for k in REPORT_FIELDS) + "\n"
     _write_text(out / f"{stem}.csv", csv)
+
+
+def _write_gaps(out: Path, candidate: dict, reference: dict) -> None:
+    gaps = gap_report(candidate, reference)
+    lines = [f"gap.{k}={_fmt(v)}" for k, v in sorted(gaps.gaps.items())]
+    _write_lines(out / "gaps.txt", lines + [f"avg_gap={_fmt(gaps.avg_gap)}",
+                                            f"agp={_fmt(gaps.agp)}"])
 
 
 def _read_report(path: Path) -> dict:
@@ -368,7 +339,7 @@ def cmd_pretrain(cfg: dict, args) -> int:
     out = _out_dir(cfg)
     _snapshot(cfg, out, "pretrain")
     data, splits = _load_data_splits(cfg, args)
-    net = pretrain(data, splits, _contrastive_config(cfg), _parse_arch(cfg), _aug_config(cfg))
+    net = pretrain(data, splits, _config(cfg, "pretrain"), _parse_arch(cfg), _config(cfg, "aug"))
     save_encoder(net, out / "encoder.bin")
     print(f"wrote {out / 'encoder.bin'}")
     return EXIT_OK
@@ -378,7 +349,7 @@ def cmd_retrain(cfg: dict, args) -> int:
     out = _out_dir(cfg)
     _snapshot(cfg, out, "retrain")
     data, splits = _load_data_splits(cfg, args)
-    net = retrain(data, splits, _contrastive_config(cfg), _parse_arch(cfg), _aug_config(cfg))
+    net = retrain(data, splits, _config(cfg, "pretrain"), _parse_arch(cfg), _config(cfg, "aug"))
     save_encoder(net, out / "retrain.bin")
     print(f"wrote {out / 'retrain.bin'}")
     return EXIT_OK
@@ -390,29 +361,9 @@ def cmd_unlearn(cfg: dict, args) -> int:
     data, splits = _load_data_splits(cfg, args)
     enc_path = Path(args.encoder) if args.encoder else out / "encoder.bin"
     start = load_encoder(_require(enc_path, "encoder checkpoint"))
-    method = cfg["unlearn.method"]
-    aug = _aug_config(cfg)
-    if method == "ac":
-        net = run_ac(start, data, splits, _ac_config(cfg), aug)
-    elif method == "retrain":
-        raise ConfigurationError("use the retrain subcommand for exact unlearning")
-    else:
-        method_cfg = UnlearnMethod(
-            name=method,
-            epochs=cfg["unlearn.epochs"],
-            lr=cfg["unlearn.lr"],
-            temperature=cfg["unlearn.temperature"],
-            momentum=cfg["unlearn.momentum"],
-            weight_decay=cfg["unlearn.weight_decay"],
-            retain_batch=cfg["unlearn.retain_batch"],
-            unlearn_batch=cfg["unlearn.unlearn_batch"],
-            l1_coeff=cfg["unlearn.l1_coeff"],
-            ascent_weight=cfg["unlearn.ascent_weight"],
-            seed=cfg["seed"],
-        )
-        net = run_baseline(start, data, splits, method_cfg, aug)
+    net = run_ac(start, data, splits, _config(cfg, "unlearn"), _config(cfg, "aug"))
     save_encoder(net, out / "unlearned.bin")
-    print(f"wrote {out / 'unlearned.bin'} (method {method})")
+    print(f"wrote {out / 'unlearned.bin'} (method {cfg['unlearn.method']})")
     return EXIT_OK
 
 
@@ -424,12 +375,10 @@ def cmd_probe(cfg: dict, args) -> int:
     enc = load_encoder(_require(enc_path, "encoder checkpoint"))
     num_classes = int(data.labels.max()) + 1
     split_ids = (splits.retain, splits.test, splits.unlearn)
-    logits = probe_logits(enc, data, split_ids, num_classes, _probe_config(cfg))
+    logits = probe_logits(enc, data, split_ids, num_classes, _config(cfg, "probe"))
     ra, ta, ua = classifier_metrics(logits, [data.labels_for(ids) for ids in split_ids])
     lines = [f"ra={_fmt(ra)}", f"ta={_fmt(ta)}", f"ua={_fmt(ua)}"]
-    _write_text(out / "probe.txt", "\n".join(lines) + "\n")
-    for line in lines:
-        print(line)
+    _write_lines(out / "probe.txt", lines)
     print(f"wrote {out / 'probe.txt'}")
     return EXIT_OK
 
@@ -445,8 +394,8 @@ def cmd_eval(cfg: dict, args) -> int:
         encoders["reference"] = load_encoder(
             _require(Path(args.reference), "reference checkpoint"))
     # one pass: both encoders are scored on the same replayed views
-    reports = evaluate(encoders, before, data, splits, _aug_config(cfg), _probe_config(cfg),
-                       cfg["seed"])
+    reports = evaluate(encoders, before, data, splits, _config(cfg, "aug"),
+                       _config(cfg, "probe"), cfg["seed"])
     rep = reports["candidate"]
     _write_report_files(out, "report", rep.metrics())
     for k in REPORT_FIELDS:
@@ -455,13 +404,7 @@ def cmd_eval(cfg: dict, args) -> int:
     if args.reference:
         ref = reports["reference"]
         _write_report_files(out, "reference_report", ref.metrics())
-        gaps = gap_report(rep.metrics(), ref.metrics())
-        lines = [f"gap.{k}={_fmt(v)}" for k, v in sorted(gaps.gaps.items())]
-        lines.append(f"avg_gap={_fmt(gaps.avg_gap)}")
-        lines.append(f"agp={_fmt(gaps.agp)}")
-        _write_text(out / "gaps.txt", "\n".join(lines) + "\n")
-        for line in lines:
-            print(line)
+        _write_gaps(out, rep.metrics(), ref.metrics())
     return EXIT_OK
 
 
@@ -494,7 +437,7 @@ def cmd_audit(cfg: dict, args) -> int:
         before_enc = load_encoder(_require(Path(args.before), "pre-unlearning checkpoint"))
         after_enc = load_encoder(_require(Path(args.after), "unlearned checkpoint"))
         ids = splits.unlearn
-        vx, vy = paired_unlearn_views(data, ids, _aug_config(cfg), cfg["seed"])
+        vx, vy = paired_unlearn_views(data, ids, _config(cfg, "aug"), cfg["seed"])
         # both encoders run before any dump is written, so a failing one leaves none
         bx, by = encoder_forward(before_enc, vx), encoder_forward(before_enc, vy)
         ax, ay = encoder_forward(after_enc, vx), encoder_forward(after_enc, vy)
@@ -534,9 +477,7 @@ def cmd_audit(cfg: dict, args) -> int:
             lines.append(f"{tag}_p={_fmt(res.p_value)}")
             lines.append(f"{tag}_reject_05={'yes' if res.p_value < 0.05 else 'no'}")
 
-    _write_text(out / "audit.txt", "\n".join(lines) + "\n")
-    for line in lines:
-        print(line)
+    _write_lines(out / "audit.txt", lines)
     print(f"wrote {out / 'agm.csv'} and {out / 'agm.pgm'}")
     return EXIT_OK
 
@@ -554,21 +495,15 @@ def cmd_report(cfg: dict, args) -> int:
     out = _out_dir(cfg)
     candidate = _read_report(Path(args.candidate))
     reference = _read_report(Path(args.reference))
-    gaps = gap_report(candidate, reference)
-    lines = [f"gap.{k}={_fmt(v)}" for k, v in sorted(gaps.gaps.items())]
-    lines.append(f"avg_gap={_fmt(gaps.avg_gap)}")
-    lines.append(f"agp={_fmt(gaps.agp)}")
-    _write_text(out / "gaps.txt", "\n".join(lines) + "\n")
-    for line in lines:
-        print(line)
+    _write_gaps(out, candidate, reference)
     return EXIT_OK
 
 
 def _sweep_fs(start, data, splits, base: ACConfig, aug, alpha: float, beta: float,
               views, before, job_dir: Path) -> float:
-    """FS of one grid cell's AC run; views and before are the replay views
-    of the unlearn set and the start encoder's features of them."""
-    cfg = dataclasses.replace(base, negpair_weight=alpha, forget_weight=beta)
+    """FS of one grid cell's AC run, whatever unlearn.method is; views and before
+    are the unlearn set's replay views and the start encoder's features of them."""
+    cfg = dataclasses.replace(base, method="ac", negpair_weight=alpha, forget_weight=beta)
     net = run_ac(start, data, splits, cfg, aug)
     job_dir.mkdir(parents=True, exist_ok=True)
     save_encoder(net, job_dir / "unlearned.bin")
@@ -586,7 +521,7 @@ def cmd_sweep(cfg: dict, args) -> int:
     ref_path = Path(args.reference) if args.reference else out / "retrain.bin"
     start = load_encoder(_require(enc_path, "encoder checkpoint"))
     reference = load_encoder(_require(ref_path, "retrain checkpoint"))
-    aug = _aug_config(cfg)
+    aug = _config(cfg, "aug")
 
     vx, vy = paired_unlearn_views(data, splits.unlearn, aug, cfg["seed"])
     bx, by = encoder_forward(start, vx), encoder_forward(start, vy)
@@ -594,9 +529,9 @@ def cmd_sweep(cfg: dict, args) -> int:
         bx, by, encoder_forward(reference, vx), encoder_forward(reference, vy))
     print(f"fs_retrain={_fmt(fs_ref)}")
 
-    alphas = _parse_grid(cfg["sweep.negpair_weights"], "sweep.negpair_weights")
-    betas = _parse_grid(cfg["sweep.forget_weights"], "sweep.forget_weights")
-    base = _ac_config(cfg)
+    alphas = _parse_grid("sweep.negpair_weights", cfg["sweep.negpair_weights"])
+    betas = _parse_grid("sweep.forget_weights", cfg["sweep.forget_weights"])
+    base = _config(cfg, "unlearn")
     scores = [_sweep_fs(start, data, splits, base, aug, a, b, (vx, vy), (bx, by),
                         out / "sweep" / f"a{a:g}_b{b:g}")
               for a in alphas for b in betas]
@@ -606,9 +541,7 @@ def cmd_sweep(cfg: dict, args) -> int:
     it = iter(scores)
     for a in alphas:
         lines.append("%g," % a + ",".join(_fmt(next(it) - fs_ref) for _ in betas))
-    _write_text(out / "fs_gap_grid.csv", "\n".join(lines) + "\n")
-    for line in lines:
-        print(line)
+    _write_lines(out / "fs_gap_grid.csv", lines)
     print(f"wrote {out / 'fs_gap_grid.csv'}")
     return EXIT_OK
 

@@ -14,6 +14,7 @@ Feature stacking convention: a batch of B positive pairs becomes a
 from __future__ import annotations
 
 import warnings
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,8 +29,10 @@ from .datagen import (
 )
 from .diffcore import (
     EncoderNet,
+    GradSet,
     LossFn,
     OptState,
+    check_sgd_settings,
     init_encoder,
     loss_and_grads,
     sgd_momentum_step,
@@ -48,14 +51,13 @@ class ContrastiveConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.temperature <= 0:
+        if not self.temperature > 0:
             raise ConfigurationError("temperature must be > 0")
         if self.batch_size < 2:
             raise ConfigurationError("batch_size must be >= 2")
         if self.epochs < 0:
             raise ConfigurationError("epochs must be >= 0")
-        if self.base_lr < 0:
-            raise ConfigurationError("base_lr must be >= 0")
+        check_sgd_settings(self.base_lr, self.momentum, self.weight_decay)
 
 
 def _as_slice(rows: np.ndarray) -> slice | None:
@@ -229,6 +231,31 @@ def steps_per_epoch(n_ids: int, batch_size: int) -> int:
     return len(batch_chunks(np.arange(n_ids), batch_size))
 
 
+def sgd_epochs(
+    net: EncoderNet,
+    epochs: int,
+    steps_per_epoch: int,
+    lr: float,
+    momentum: float,
+    weight_decay: float,
+    epoch_steps: Callable[[int], Iterator[tuple[float, GradSet]]],
+) -> None:
+    """SGD with momentum and a cosine schedule over epochs * steps_per_epoch
+    steps, in place on net. epoch_steps(epoch) yields one (loss, grads) per
+    step of that epoch; a non-finite loss or gradient raises NumericError
+    naming the epoch and step, before that step writes anything."""
+    opt = OptState(base_lr=lr, momentum=momentum, weight_decay=weight_decay,
+                   total_steps=epochs * steps_per_epoch)
+    for epoch in range(epochs):
+        for step, (loss, grads) in enumerate(epoch_steps(epoch)):
+            try:  # the optimizer rejects a non-finite gradient before writing
+                if not np.isfinite(loss):
+                    raise NumericError("non-finite loss")
+                sgd_momentum_step(net, grads, opt)
+            except NumericError as exc:
+                raise NumericError(f"non-finite loss/grads at epoch {epoch} step {step}") from exc
+
+
 def pretrain(
     data: LabeledDataset,
     splits: Splits,
@@ -263,26 +290,17 @@ def pretrain_on_ids(
         return net
     if len(ids) < 2:
         raise ConfigurationError("train split needs at least 2 samples")
-    spe = steps_per_epoch(len(ids), cfg.batch_size)
-    opt = OptState(
-        base_lr=cfg.base_lr,
-        momentum=cfg.momentum,
-        weight_decay=cfg.weight_decay,
-        total_steps=cfg.epochs * spe,
-    )
     loss_fn = info_nce_loss_fn(cfg.temperature)
-    for epoch in range(cfg.epochs):
+
+    def epoch_steps(epoch):
         perm = seeds.stream_rng(cfg.seed, seeds.SHUFFLE_MAIN, epoch).permutation(ids)
+        # the block is freed when the epoch's steps are done
         block = draw_view_block(data, aug, cfg.seed, epoch)
-        for step, chunk in enumerate(batch_chunks(perm, cfg.batch_size)):
+        for chunk in batch_chunks(perm, cfg.batch_size):
             stack = np.empty((2 * len(chunk), data.dim))
             paired_views_for_ids(data, chunk, aug, cfg.seed, epoch, block, out=stack)
-            loss, grads = loss_and_grads(net, stack, loss_fn)
-            try:  # the optimizer rejects a non-finite gradient before writing
-                if not np.isfinite(loss):
-                    raise NumericError("non-finite loss")
-                sgd_momentum_step(net, grads, opt)
-            except NumericError as exc:
-                raise NumericError(f"non-finite loss/grads at epoch {epoch} step {step}") from exc
-        del block  # free it before the next epoch's block is drawn
+            yield loss_and_grads(net, stack, loss_fn)
+
+    sgd_epochs(net, cfg.epochs, steps_per_epoch(len(ids), cfg.batch_size), cfg.base_lr,
+               cfg.momentum, cfg.weight_decay, epoch_steps)
     return net

@@ -139,7 +139,7 @@ class AugmentorConfig:
     image_mode: bool = False
 
     def __post_init__(self):
-        if self.noise_sigma < 0:
+        if not self.noise_sigma >= 0:  # NaN fails this check too
             raise ConfigurationError("noise_sigma must be >= 0")
         if not 0.0 <= self.mask_prob < 1.0:
             raise ConfigurationError("mask_prob must be in [0, 1)")

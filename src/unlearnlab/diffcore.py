@@ -10,9 +10,8 @@ checked against central finite differences.
 
 from __future__ import annotations
 
-import copy
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -144,14 +143,20 @@ class OptState:
     buffers: list[np.ndarray] | None = None
 
     def __post_init__(self):
-        if self.base_lr < 0:
-            raise ConfigurationError("base_lr must be >= 0")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ConfigurationError("momentum must be in [0, 1)")
-        if self.weight_decay < 0:
-            raise ConfigurationError("weight_decay must be >= 0")
+        check_sgd_settings(self.base_lr, self.momentum, self.weight_decay)
         if self.total_steps < 1:
             raise ConfigurationError("total_steps must be >= 1")
+
+
+def check_sgd_settings(lr: float, momentum: float, weight_decay: float) -> None:
+    """Reject a negative learning rate or weight decay, or a momentum
+    outside [0, 1). Every check is written so that NaN fails it too."""
+    if not lr >= 0:
+        raise ConfigurationError("learning rate must be >= 0")
+    if not 0.0 <= momentum < 1.0:
+        raise ConfigurationError("momentum must be in [0, 1)")
+    if not weight_decay >= 0:
+        raise ConfigurationError("weight_decay must be >= 0")
 
 
 def init_encoder(

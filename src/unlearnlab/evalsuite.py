@@ -26,16 +26,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import seeds
+from .contrastive import sgd_epochs
 from .datagen import AugmentorConfig, LabeledDataset, Splits, augment_views
 from .diffcore import (
-    DenseLayer,
     EncoderNet,
     LossFn,
-    OptState,
+    check_sgd_settings,
     encoder_forward,
     init_encoder,
     loss_and_grads,
-    sgd_momentum_step,
+    sgd_momentum_step,  # not called here: benchmarks/layers.py needs this binding for opt_s
 )
 from .errors import ConfigurationError, NumericError
 
@@ -99,8 +99,9 @@ class ProbeConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.epochs < 0 or self.lr < 0 or self.batch_size < 1:
-            raise ConfigurationError("bad probe hyperparameters")
+        if self.epochs < 0 or self.batch_size < 1:
+            raise ConfigurationError("probe epochs must be >= 0 and batch_size >= 1")
+        check_sgd_settings(self.lr, self.momentum, self.weight_decay)
 
 
 @dataclass
@@ -473,22 +474,18 @@ def linear_probe(feats, labels, num_classes: int, cfg: ProbeConfig) -> EncoderNe
     if cfg.epochs == 0:
         return head
     starts = range(0, labels.size, cfg.batch_size)
-    opt = OptState(base_lr=cfg.lr, momentum=cfg.momentum,
-                   weight_decay=cfg.weight_decay, total_steps=cfg.epochs * len(starts))
-    for epoch in range(cfg.epochs):
+
+    def epoch_steps(epoch):
         perm = seeds.stream_rng(cfg.seed, seeds.PROBE_SHUFFLE, epoch).permutation(labels.size)
         # one gather per epoch; each batch is then a contiguous slice
         ep_feats, ep_labels = feats[perm], labels[perm]
         for lo in starts:
             hi = lo + cfg.batch_size
             loss_fn = softmax_xent_loss_fn(ep_labels[lo:hi], num_classes)
-            loss, grads = loss_and_grads(head, ep_feats[lo:hi], loss_fn)
-            try:  # the optimizer rejects a non-finite gradient before writing
-                if not math.isfinite(loss):
-                    raise NumericError("non-finite loss")
-                sgd_momentum_step(head, grads, opt)
-            except NumericError as exc:
-                raise NumericError(f"non-finite probe loss at epoch {epoch}") from exc
+            yield loss_and_grads(head, ep_feats[lo:hi], loss_fn)
+
+    sgd_epochs(head, cfg.epochs, len(starts), cfg.lr, cfg.momentum, cfg.weight_decay,
+               epoch_steps)
     return head
 
 

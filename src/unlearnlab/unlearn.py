@@ -1,7 +1,8 @@
 """Unlearning procedures for a contrastive encoder.
 
-All methods start from a trained encoder and an id split and return a new
-encoder; inputs are never mutated.  The calibration method (run_ac)
+Every method starts from a trained encoder and an id split and returns a
+new encoder; inputs are never mutated.  One config (ACConfig) and one
+SGD loop (run_ac) serve all of them.  The calibration method ("ac")
 descends
 
     L = L_retain + unlearn_scale * L_unlearn
@@ -14,9 +15,10 @@ keep the contrast structure against the pool (preserve_weight).  The
 alignment terms use raw cosine similarities; the log-sum-exp terms are
 temperature-scaled like the training loss.
 
-Baselines: plain fine-tuning on retain, gradient ascent on the unlearn
-set, a descent/ascent difference (neggrad), fine-tuning with an L1
-parameter penalty, and exact retraining from scratch.
+Baselines: plain fine-tuning on retain ("finetune", which is "ac" at
+scale 0), gradient ascent on the unlearn set ("gradascent"), a
+descent/ascent difference ("neggrad"), fine-tuning with an L1 parameter
+penalty ("l1sparsity"), and exact retraining from scratch (retrain).
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from .contrastive import (
     batch_chunks,
     info_nce_loss_fn,
     pretrain_on_ids,
+    sgd_epochs,
     steps_per_epoch,
 )
 from .datagen import (
@@ -43,51 +46,34 @@ from .datagen import (
     draw_view_block,
     paired_views_for_ids,
 )
-from .diffcore import EncoderNet, LossFn, OptState, encoder_forward, loss_and_grads, sgd_momentum_step
-from .errors import ConfigurationError, NumericError
+from .diffcore import (
+    EncoderNet,
+    LossFn,
+    check_sgd_settings,
+    encoder_forward,
+    loss_and_grads,
+    sgd_momentum_step,  # not called here: benchmarks/layers.py needs this binding for opt_s
+)
+from .errors import ConfigurationError
 
-BASELINE_NAMES = ("finetune", "gradascent", "neggrad", "l1sparsity")
+METHODS = ("ac", "finetune", "gradascent", "neggrad", "l1sparsity")
 
 
 @dataclass
 class ACConfig:
-    """Knobs for the calibration objective and its SGD run.
+    """One unlearning run: its method, the objective's knobs and the SGD
+    settings.
 
-    unlearn_scale=None resolves to |unlearn| / |retain| at run time.
+    Only "ac" reads the three *_weight knobs and unlearn_scale, which None
+    resolves to |unlearn| / |retain| at run time; only "l1sparsity" reads
+    l1_coeff and only "neggrad" reads ascent_weight.
     """
 
+    method: str = "ac"
     negpair_weight: float = 1.0
     forget_weight: float = 1.0
     preserve_weight: float = 1.0
     unlearn_scale: float | None = None
-    epochs: int = 10
-    lr: float = 0.01
-    temperature: float = 0.5
-    momentum: float = 0.9
-    weight_decay: float = 0.0
-    retain_batch: int = 128
-    unlearn_batch: int = 32
-    seed: int = 0
-
-    def __post_init__(self):
-        for name in ("negpair_weight", "forget_weight", "preserve_weight"):
-            if getattr(self, name) < 0:
-                raise ConfigurationError(f"{name} must be >= 0")
-        if self.unlearn_scale is not None and self.unlearn_scale < 0:
-            raise ConfigurationError("unlearn_scale must be >= 0 (or None for auto)")
-        if self.epochs < 0 or self.lr < 0:
-            raise ConfigurationError("epochs and lr must be >= 0")
-        if self.temperature <= 0:
-            raise ConfigurationError("temperature must be > 0")
-        if self.retain_batch < 2 or self.unlearn_batch < 1:
-            raise ConfigurationError("retain_batch >= 2 and unlearn_batch >= 1 required")
-
-
-@dataclass
-class UnlearnMethod:
-    """A named baseline with its hyperparameters."""
-
-    name: str
     epochs: int = 10
     lr: float = 0.01
     temperature: float = 0.5
@@ -100,16 +86,23 @@ class UnlearnMethod:
     seed: int = 0
 
     def __post_init__(self):
-        if self.name not in BASELINE_NAMES:
-            if self.name == "retrain":
-                raise ConfigurationError("use retrain() for exact retraining")
-            raise ConfigurationError(
-                f"unknown method {self.name!r}; choose from {BASELINE_NAMES}"
-            )
-        if self.l1_coeff < 0 or self.ascent_weight < 0:
-            raise ConfigurationError("l1_coeff and ascent_weight must be >= 0")
-        if self.epochs < 0 or self.lr < 0 or self.temperature <= 0:
-            raise ConfigurationError("bad optimizer hyperparameters")
+        if self.method not in METHODS:
+            if self.method == "retrain":
+                raise ConfigurationError(
+                    "use retrain() or the retrain subcommand for exact retraining")
+            raise ConfigurationError(f"unknown method {self.method!r}; choose from {METHODS}")
+        # each check is written so that NaN fails it too
+        for name in ("negpair_weight", "forget_weight", "preserve_weight", "l1_coeff",
+                     "ascent_weight"):
+            if not getattr(self, name) >= 0:
+                raise ConfigurationError(f"{name} must be >= 0")
+        if self.unlearn_scale is not None and not self.unlearn_scale >= 0:
+            raise ConfigurationError("unlearn_scale must be >= 0 (or None for auto)")
+        if self.epochs < 0:
+            raise ConfigurationError("epochs must be >= 0")
+        check_sgd_settings(self.lr, self.momentum, self.weight_decay)
+        if not self.temperature > 0:
+            raise ConfigurationError("temperature must be > 0")
         if self.retain_batch < 2 or self.unlearn_batch < 1:
             raise ConfigurationError("retain_batch >= 2 and unlearn_batch >= 1 required")
 
@@ -315,91 +308,49 @@ def _add_l1_subgradient(net: EncoderNet, grads, coeff: float) -> float:
     return coeff * penalty
 
 
-def _run_unlearn_sgd(
-    start: EncoderNet,
-    data: LabeledDataset,
-    splits: Splits,
-    aug: AugmentorConfig,
-    *,
-    method: str,
-    epochs: int,
-    lr: float,
-    momentum: float,
-    weight_decay: float,
-    temperature: float,
-    retain_batch: int,
-    unlearn_batch: int,
-    seed: int,
-    cfg: ACConfig | None = None,
-    unlearn_scale: float = 0.0,
-    l1_coeff: float = 0.0,
-    ascent_weight: float = 1.0,
-) -> EncoderNet:
-    net = start.copy()
-    if epochs == 0:
-        return net
-    if data.dim != net.input_dim:
-        raise ConfigurationError("data dim does not match encoder input dim")
-    ascent_only = method == "gradascent"
-    drive_ids = splits.unlearn if ascent_only else splits.retain
-    drive_batch = unlearn_batch if ascent_only else retain_batch
-    if len(drive_ids) < 2:
-        raise ConfigurationError("driving split needs at least 2 samples")
-    spe = steps_per_epoch(len(drive_ids), drive_batch)
-    needs_side = method == "neggrad" or (method == "ac" and unlearn_scale != 0.0)
-    side_width = min(unlearn_batch, len(splits.unlearn))
-    opt = OptState(
-        base_lr=lr, momentum=momentum, weight_decay=weight_decay,
-        total_steps=epochs * spe,
-    )
-    nce = info_nce_loss_fn(temperature, allow_singleton=True)
-    ac_fns = {}  # AC loss per retain chunk length, sharing one workspace
-    ac_work = PairWorkspace()
-    for epoch in range(epochs):
-        perm = seeds.stream_rng(seed, seeds.SHUFFLE_MAIN, epoch).permutation(drive_ids)
-        chunks = batch_chunks(perm, drive_batch)
-        side = None
-        if needs_side:
-            sideperm = seeds.stream_rng(seed, seeds.SHUFFLE_SIDE, epoch).permutation(
-                splits.unlearn
-            )
-            side = _tile_ids(sideperm, len(chunks), side_width)
-        block = draw_view_block(data, aug, seed, epoch)
-        for step, chunk in enumerate(chunks):
-            # one stack [xs; ys] of the chunk's views, then [ux; uy] of the
-            # side ids when the method uses them
-            rows = 2 * len(chunk)
-            stack = np.empty((rows + (2 * side_width if needs_side else 0), data.dim))
-            paired_views_for_ids(data, chunk, aug, seed, epoch, block, out=stack[:rows])
-            if needs_side:
-                paired_views_for_ids(data, side[step], aug, seed, epoch, block, out=stack[rows:])
-            if method == "ac" and unlearn_scale != 0.0:
-                fn = ac_fns.get(len(chunk))
+def _step_loss(net: EncoderNet, cfg: ACConfig, splits: Splits, side_width: int):
+    """The step of cfg.method, and whether it uses a window of unlearn ids.
+    The step maps a stack and the row count of its chunk's views, which
+    come first, to the loss and gradients of net; the window's views, when
+    used, fill the rest of the stack."""
+    nce = info_nce_loss_fn(cfg.temperature, allow_singleton=True)
+    if cfg.method == "ac":
+        scale = (float(splits.unlearn_retain_ratio()) if cfg.unlearn_scale is None
+                 else cfg.unlearn_scale)
+        if scale != 0.0:
+            fns = {}  # AC loss per chunk length, sharing one workspace
+            work = PairWorkspace()
+
+            def calibrate(stack, rows):
+                fn = fns.get(rows)
                 if fn is None:
-                    fn = ac_fns[len(chunk)] = ac_stack_loss_fn(
-                        len(chunk), side_width, cfg, unlearn_scale, ac_work)
-                loss, grads = loss_and_grads(net, stack, fn)
-            elif method == "neggrad":
-                loss_r, grads = loss_and_grads(net, stack[:rows], nce)
-                loss_u, g_u = loss_and_grads(net, stack[rows:], nce)
-                grads.axpy(-ascent_weight, g_u)
-                loss = loss_r - ascent_weight * loss_u
-            else:
-                # retain-only descent (finetune / l1sparsity / calibration at
-                # scale 0) or ascent on the unlearn set
-                loss, grads = loss_and_grads(net, stack, nce)
-                if ascent_only:
-                    grads.scale(-1.0)
-                elif l1_coeff > 0.0:
-                    loss += _add_l1_subgradient(net, grads, l1_coeff)
-            try:  # the optimizer rejects a non-finite gradient before writing
-                if not np.isfinite(loss):
-                    raise NumericError("non-finite loss")
-                sgd_momentum_step(net, grads, opt)
-            except NumericError as exc:
-                raise NumericError(f"non-finite loss/grads at epoch {epoch} step {step}") from exc
-        del block  # free it before the next epoch's block is drawn
-    return net
+                    fn = fns[rows] = ac_stack_loss_fn(rows // 2, side_width, cfg, scale, work)
+                return loss_and_grads(net, stack, fn)
+
+            return calibrate, True
+    if cfg.method == "neggrad":
+        def neggrad(stack, rows):
+            loss_r, grads = loss_and_grads(net, stack[:rows], nce)
+            loss_u, g_u = loss_and_grads(net, stack[rows:], nce)
+            grads.axpy(-cfg.ascent_weight, g_u)
+            return loss_r - cfg.ascent_weight * loss_u, grads
+
+        return neggrad, True
+    if cfg.method == "gradascent":
+        def ascend(stack, rows):
+            loss, grads = loss_and_grads(net, stack, nce)
+            grads.scale(-1.0)
+            return loss, grads
+
+        return ascend, False
+    if cfg.method == "l1sparsity" and cfg.l1_coeff > 0.0:
+        def sparsify(stack, rows):
+            loss, grads = loss_and_grads(net, stack, nce)
+            return loss + _add_l1_subgradient(net, grads, cfg.l1_coeff), grads
+
+        return sparsify, False
+    # retain-only descent: finetune, or ac or l1sparsity at zero strength
+    return (lambda stack, rows: loss_and_grads(net, stack, nce)), False
 
 
 def run_ac(
@@ -409,50 +360,48 @@ def run_ac(
     cfg: ACConfig,
     aug: AugmentorConfig,
 ) -> EncoderNet:
-    """Calibrated unlearning.  At unlearn_scale == 0 this is exactly the
-    fine-tune baseline, sample for sample and bit for bit."""
-    scale = (
-        float(splits.unlearn_retain_ratio())
-        if cfg.unlearn_scale is None
-        else cfg.unlearn_scale
-    )
-    return _run_unlearn_sgd(
-        enc, data, splits, aug,
-        method="ac", epochs=cfg.epochs, lr=cfg.lr, momentum=cfg.momentum,
-        weight_decay=cfg.weight_decay, temperature=cfg.temperature,
-        retain_batch=cfg.retain_batch, unlearn_batch=cfg.unlearn_batch,
-        seed=cfg.seed, cfg=cfg, unlearn_scale=scale,
-    )
+    """Unlearning by cfg.method, on a copy of enc.  Each epoch walks the
+    driving split (the unlearn set for gradascent, the retain set
+    otherwise) in batches; ac and neggrad add a window of unlearn ids to
+    each step.  At unlearn_scale == 0, ac is exactly finetune, sample for
+    sample and bit for bit."""
+    net = enc.copy()
+    if cfg.epochs == 0:
+        return net
+    if data.dim != net.input_dim:
+        raise ConfigurationError("data dim does not match encoder input dim")
+    if cfg.method == "gradascent":
+        drive_ids, drive_batch = splits.unlearn, cfg.unlearn_batch
+    else:
+        drive_ids, drive_batch = splits.retain, cfg.retain_batch
+    if len(drive_ids) < 2:
+        raise ConfigurationError("driving split needs at least 2 samples")
+    side_width = min(cfg.unlearn_batch, len(splits.unlearn))
+    step_loss, uses_side = _step_loss(net, cfg, splits, side_width)
 
+    def epoch_steps(epoch):
+        perm = seeds.stream_rng(cfg.seed, seeds.SHUFFLE_MAIN, epoch).permutation(drive_ids)
+        chunks = batch_chunks(perm, drive_batch)
+        if uses_side:
+            sideperm = seeds.stream_rng(cfg.seed, seeds.SHUFFLE_SIDE, epoch).permutation(
+                splits.unlearn)
+            side = _tile_ids(sideperm, len(chunks), side_width)
+        # the block is freed when the epoch's steps are done
+        block = draw_view_block(data, aug, cfg.seed, epoch)
+        for step, chunk in enumerate(chunks):
+            # one stack [xs; ys] of the chunk's views, then [ux; uy] of the
+            # window's when the method uses one
+            rows = 2 * len(chunk)
+            stack = np.empty((rows + (2 * side_width if uses_side else 0), data.dim))
+            paired_views_for_ids(data, chunk, aug, cfg.seed, epoch, block, out=stack[:rows])
+            if uses_side:
+                paired_views_for_ids(data, side[step], aug, cfg.seed, epoch, block,
+                                     out=stack[rows:])
+            yield step_loss(stack, rows)
 
-def run_baseline(
-    enc: EncoderNet,
-    data: LabeledDataset,
-    splits: Splits,
-    method: UnlearnMethod,
-    aug: AugmentorConfig,
-) -> EncoderNet:
-    """Dispatch for the non-retraining baselines."""
-    common = dict(
-        epochs=method.epochs, lr=method.lr, momentum=method.momentum,
-        weight_decay=method.weight_decay, temperature=method.temperature,
-        retain_batch=method.retain_batch, unlearn_batch=method.unlearn_batch,
-        seed=method.seed,
-    )
-    if method.name == "finetune":
-        return _run_unlearn_sgd(enc, data, splits, aug, method="ac", **common)
-    if method.name == "l1sparsity":
-        return _run_unlearn_sgd(
-            enc, data, splits, aug, method="ac", l1_coeff=method.l1_coeff, **common
-        )
-    if method.name == "gradascent":
-        return _run_unlearn_sgd(enc, data, splits, aug, method="gradascent", **common)
-    if method.name == "neggrad":
-        return _run_unlearn_sgd(
-            enc, data, splits, aug, method="neggrad",
-            ascent_weight=method.ascent_weight, **common,
-        )
-    raise ConfigurationError(f"unknown method {method.name!r}")
+    sgd_epochs(net, cfg.epochs, steps_per_epoch(len(drive_ids), drive_batch), cfg.lr,
+               cfg.momentum, cfg.weight_decay, epoch_steps)
+    return net
 
 
 def retrain(

@@ -50,12 +50,10 @@ from unlearnlab.persist import (
 )
 from unlearnlab.unlearn import (
     ACConfig,
-    UnlearnMethod,
     ac_stack_loss_fn,
     retain_stack_loss_fn,
     retrain,
     run_ac,
-    run_baseline,
     unlearn_loss,
     unlearn_stack_loss_fn,
 )
@@ -90,8 +88,8 @@ def pipelines():
         cfg = ContrastiveConfig(epochs=200, seed=seed)
         enc = pretrain(data, splits, cfg, ARCH, AUG)
         rt = retrain(data, splits, cfg, ARCH, AUG)
-        ft = run_baseline(enc, data, splits, UnlearnMethod(
-            "finetune", epochs=UNLEARN_EPOCHS, lr=UNLEARN_LR, seed=seed), AUG)
+        ft = run_ac(enc, data, splits, ACConfig(
+            method="finetune", epochs=UNLEARN_EPOCHS, lr=UNLEARN_LR, seed=seed), AUG)
         runs[seed] = {
             "data": data, "splits": splits, "enc": enc, "retrain": rt,
             "finetune": ft, "build_seconds": time.perf_counter() - t0,
@@ -404,8 +402,8 @@ def test_criterion_10_ablation_additivity_and_zero_scale():
                    [6, 8, 4], AUG)
     zero_scale = run_ac(enc, data, splits, ACConfig(
         unlearn_scale=0.0, epochs=3, lr=0.02, retain_batch=32, seed=3), AUG)
-    finetune = run_baseline(enc, data, splits, UnlearnMethod(
-        "finetune", epochs=3, lr=0.02, retain_batch=32, seed=3), AUG)
+    finetune = run_ac(enc, data, splits, ACConfig(
+        method="finetune", epochs=3, lr=0.02, retain_batch=32, seed=3), AUG)
     identical = all(
         np.array_equal(za.w, zf.w) and np.array_equal(za.b, zf.b)
         for za, zf in zip(zero_scale.layers, finetune.layers))

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import errno
 import re
 import subprocess
@@ -40,6 +41,13 @@ TINY = [
     "unlearn.unlearn_batch=8",
     "probe.epochs=5",
 ]
+
+
+# Keys read by the dataclass of a config section, and the two keys not
+# named after their field.
+_SECTION_KEYS = [k for k in _DEFAULTS if k.partition(".")[0] in ("aug", "pretrain", "unlearn",
+                                                                  "probe")]
+_RENAMED = {"pretrain.lr": "base_lr", "unlearn.scale": "unlearn_scale"}
 
 
 def tiny_cfg(tmp_path) -> str:
@@ -103,6 +111,40 @@ class TestConfig:
         assert sorted(shown) == sorted(_DEFAULTS)
         for key, text in shown.items():
             assert _parse_value(key, text) == _DEFAULTS[key], key
+
+    @pytest.mark.parametrize("line", ["unlearn.scale=nan", "pretrain.temperature=inf",
+                                      "aug.noise_sigma=-inf", "sweep.forget_weights=0,nan"])
+    def test_non_finite_value_in_file_reports_line(self, tmp_path, capsys, line):
+        p = tmp_path / "c.cfg"
+        p.write_text("seed=1\n" + line + "\n")
+        rc = main(["gen-data", "--config", str(p), "--out", str(tmp_path / "run")])
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"{p}:2: {line.partition('=')[0]}: expected a finite number" in err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("key", _SECTION_KEYS)
+    def test_key_reaches_its_field(self, key):
+        """A valid non-default value of each section key changes exactly
+        its own field of the built dataclasses."""
+        default = _DEFAULTS[key]
+        if isinstance(default, bool):
+            text, value = str(not default), not default
+        elif isinstance(default, (int, float)):
+            value = default + (1 if isinstance(default, int) else 0.01)
+            text = repr(value)
+        else:
+            text, value = {"unlearn.method": ("neggrad", "neggrad"),
+                           "unlearn.scale": ("0.5", 0.5)}[key]
+        built = lambda sets: {prefix: dataclasses.asdict(cli._config(resolve_config(None, sets),
+                                                                        prefix))
+                              for prefix in ("aug", "pretrain", "unlearn", "probe")}
+        base, changed = built([]), built([f"{key}={text}"])
+        diffs = [(prefix, name) for prefix in base for name in base[prefix]
+                 if base[prefix][name] != changed[prefix][name]]
+        prefix, _, name = key.partition(".")
+        assert diffs == [(prefix, _RENAMED.get(key, name))]
+        assert changed[prefix][_RENAMED.get(key, name)] == value
 
     def test_env_var_sets_default_out(self, tmp_path, monkeypatch):
         monkeypatch.setenv("UNLEARNLAB_OUT", str(tmp_path / "envout"))
@@ -286,18 +328,36 @@ class TestProbeExitCodes:
         assert not (tmp_path / "probe.txt").exists()
 
 
+_DIVERGING_METHODS = ("finetune", "gradascent", "neggrad", "l1sparsity")
+_NON_FINITE = ("unlearn.lr=nan", "unlearn.l1_coeff=nan", "unlearn.scale=nan",
+               "unlearn.forget_weight=nan", "pretrain.temperature=inf")
+# --set values of the faults that are config values
+_FAULT_SETS = {
+    "image_mode": ["aug.image_mode=true"],
+    "bogus_method": ["unlearn.method=bogus"],
+    "zero_epoch_momentum": ["unlearn.epochs=0", "unlearn.momentum=1.0"],
+    **{f"lr_{m}": ["unlearn.lr=1e300", f"unlearn.method={m}", "unlearn.l1_coeff=1e-3"]
+       for m in _DIVERGING_METHODS},
+    **{kv: [kv] for kv in _NON_FINITE},
+}
+
 _TRAINING_FAULTS = [
     *[(cmd, fault, code) for cmd in ("pretrain", "retrain", "unlearn") for fault, code in (
         ("image_mode", EXIT_CONFIG), ("missing_splits", EXIT_MISSING_INPUT),
         ("repeated_id", EXIT_FORMAT), ("unknown_id", EXIT_FORMAT))],
     ("retrain", "lr", EXIT_NUMERIC),
     ("unlearn", "lr", EXIT_NUMERIC),
+    *[("unlearn", f"lr_{m}", EXIT_NUMERIC) for m in _DIVERGING_METHODS],
+    ("unlearn", "bogus_method", EXIT_CONFIG),
+    ("unlearn", "zero_epoch_momentum", EXIT_CONFIG),
+    *[(kv.partition(".")[0], kv, EXIT_CONFIG) for kv in _NON_FINITE],
 ]
 
 
 class TestTrainingExitCodes:
-    """pretrain, retrain and unlearn (ac); a failed call leaves only its
-    config snapshot."""
+    """pretrain, retrain and unlearn (every method); a failed call leaves
+    only its config snapshot, and a value rejected as it is read stops the
+    call before it writes anything."""
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("command,fault,code", _TRAINING_FAULTS)
@@ -306,14 +366,13 @@ class TestTrainingExitCodes:
         inputs = tmp_path / "in"
         inputs.mkdir()
         paths = {"encoder": run / "encoder.bin"} if command == "unlearn" else {}
-        sets = []
-        if fault == "image_mode":
-            sets = ["aug.image_mode=true"]
-        elif fault == "missing_splits":
+        sets = _FAULT_SETS.get(fault, [])
+        if fault == "missing_splits":
             paths["splits"] = inputs / "absent.csv"
         elif fault == "lr":
             sets = [f"{'pretrain' if command == 'retrain' else 'unlearn'}.lr=1e300"]
-        else:  # the run's splits plus a repeated id, or an id the dataset lacks
+        elif fault in ("repeated_id", "unknown_id"):
+            # the run's splits plus a repeated id, or an id the dataset lacks
             lines = (run / "splits.csv").read_text().splitlines()
             lines.append(lines[1] if fault == "repeated_id" else "999999,test")
             paths["splits"] = inputs / "splits.csv"
@@ -321,9 +380,13 @@ class TestTrainingExitCodes:
         out = tmp_path / "out"
         argv = stage_argv(command, cfg, run, out, **paths)
         assert main(argv + [a for kv in sets for a in ("--set", kv)]) == code
-        assert sorted(p.name for p in out.iterdir()) == [f"config.{command}.txt"]
+        err = capsys.readouterr().err
+        if fault in _NON_FINITE:
+            assert not out.exists()
+            assert f"{fault.partition('=')[0]}: expected a finite number" in err
+        else:
+            assert sorted(p.name for p in out.iterdir()) == [f"config.{command}.txt"]
         if code == EXIT_FORMAT:
-            err = capsys.readouterr().err
             assert str(paths["splits"]) in err
             assert ("repeats line" if fault == "repeated_id" else "split id 999999") in err
 
@@ -529,6 +592,21 @@ class TestReportAndSweep:
         assert rc == EXIT_OK
         vals = dict(ln.split("=") for ln in (tmp_path / "gaps.txt").read_text().splitlines())
         assert float(vals["avg_gap"]) == pytest.approx(1.744, abs=5e-3)
+
+    def test_sweep_runs_ac_whatever_the_method(self, eval_inputs, tmp_path, monkeypatch):
+        cfg, run = eval_inputs
+        methods, real = [], cli.run_ac
+
+        def recording(start, data, splits, ac_cfg, aug):
+            methods.append(ac_cfg.method)
+            return real(start, data, splits, ac_cfg, aug)
+
+        monkeypatch.setattr(cli, "run_ac", recording)
+        argv = stage_argv("sweep", cfg, run, tmp_path, encoder=run / "encoder.bin",
+                          reference=run / "retrain.bin")
+        assert main(argv + ["--set", "unlearn.method=finetune",
+                            "--set", "sweep.forget_weights=0,8"]) == EXIT_OK
+        assert methods == ["ac", "ac"]
 
     def test_sweep_grid_shape_and_jobs(self, tmp_path, capsys):
         cfg = tiny_cfg(tmp_path)

@@ -344,12 +344,12 @@ class TestProbe:
         def poisoned(*args):
             loss, grads = real(*args)
             calls.append(1)
-            if len(calls) == 3:  # epoch 1, the probe's second step
+            if len(calls) == 3:  # epoch 1, step 0: the probe's third step
                 grads.biases[0][0] = np.nan
             return loss, grads
 
         monkeypatch.setattr(evalsuite, "loss_and_grads", poisoned)
-        with pytest.raises(NumericError, match=r"non-finite probe loss at epoch 1$"):
+        with pytest.raises(NumericError, match=r"non-finite loss/grads at epoch 1 step 0$"):
             probe_on(identity_encoder(6), data, data.ids, 3,
                      ProbeConfig(epochs=2, batch_size=32, seed=0))
 

@@ -25,15 +25,14 @@ from unlearnlab.diffcore import (
     sgd_momentum_step,
 )
 from unlearnlab.errors import ConfigurationError, NumericError
+from unlearnlab.evalsuite import ProbeConfig
 from unlearnlab.unlearn import (
     ACConfig,
-    UnlearnMethod,
     ac_stack_loss_fn,
     retain_loss,
     retain_stack_loss_fn,
     retrain,
     run_ac,
-    run_baseline,
     unlearn_loss,
     unlearn_stack_loss_fn,
 )
@@ -244,8 +243,8 @@ class TestRuns:
         enc = self._pretrained(data, splits)
         shared = dict(epochs=2, lr=0.02, retain_batch=16, unlearn_batch=4, seed=5)
         ac = run_ac(enc, data, splits, ACConfig(unlearn_scale=0.0, **shared), AugmentorConfig())
-        ft = run_baseline(
-            enc, data, splits, UnlearnMethod(name="finetune", **shared), AugmentorConfig()
+        ft = run_ac(
+            enc, data, splits, ACConfig(method="finetune", **shared), AugmentorConfig()
         )
         for la, lb in zip(ac.layers, ft.layers):
             assert np.array_equal(la.w, lb.w)
@@ -255,12 +254,12 @@ class TestRuns:
         data, splits = tiny_problem()
         enc = self._pretrained(data, splits)
         shared = dict(epochs=2, lr=0.02, retain_batch=16, unlearn_batch=4, seed=5)
-        l1 = run_baseline(
-            enc, data, splits, UnlearnMethod(name="l1sparsity", l1_coeff=0.0, **shared),
+        l1 = run_ac(
+            enc, data, splits, ACConfig(method="l1sparsity", l1_coeff=0.0, **shared),
             AugmentorConfig(),
         )
-        ft = run_baseline(
-            enc, data, splits, UnlearnMethod(name="finetune", **shared), AugmentorConfig()
+        ft = run_ac(
+            enc, data, splits, ACConfig(method="finetune", **shared), AugmentorConfig()
         )
         for la, lb in zip(l1.layers, ft.layers):
             assert np.array_equal(la.w, lb.w)
@@ -269,9 +268,9 @@ class TestRuns:
         data, splits = tiny_problem()
         enc = self._pretrained(data, splits)
         shared = dict(epochs=3, lr=0.02, retain_batch=16, unlearn_batch=4, seed=5)
-        ft = run_baseline(enc, data, splits, UnlearnMethod(name="finetune", **shared), AugmentorConfig())
-        l1 = run_baseline(
-            enc, data, splits, UnlearnMethod(name="l1sparsity", l1_coeff=0.01, **shared),
+        ft = run_ac(enc, data, splits, ACConfig(method="finetune", **shared), AugmentorConfig())
+        l1 = run_ac(
+            enc, data, splits, ACConfig(method="l1sparsity", l1_coeff=0.01, **shared),
             AugmentorConfig(),
         )
         norm = lambda net: sum(float(np.abs(a).sum()) for a in net.param_arrays())
@@ -280,11 +279,9 @@ class TestRuns:
     def test_gradascent_single_step_hand_check(self):
         data, splits = tiny_problem()
         enc = self._pretrained(data, splits)
-        m = UnlearnMethod(
-            name="gradascent", epochs=1, lr=0.05, momentum=0.0, weight_decay=0.0,
-            unlearn_batch=64, seed=3,
-        )
-        out = run_baseline(enc, data, splits, m, AugmentorConfig())
+        m = ACConfig(method="gradascent", epochs=1, lr=0.05, momentum=0.0, weight_decay=0.0,
+                     unlearn_batch=64, seed=3)
+        out = run_ac(enc, data, splits, m, AugmentorConfig())
         # replicate: one ascent step over the whole unlearn set
         perm = seeds.stream_rng(3, seeds.SHUFFLE_MAIN, 0).permutation(splits.unlearn)
         ux, uy = paired_views_for_ids(data, perm, AugmentorConfig(), 3, 0)
@@ -296,11 +293,9 @@ class TestRuns:
     def test_neggrad_single_step_hand_check(self):
         data, splits = tiny_problem()
         enc = self._pretrained(data, splits)
-        m = UnlearnMethod(
-            name="neggrad", epochs=1, lr=0.05, momentum=0.0, weight_decay=0.0,
-            retain_batch=64, unlearn_batch=4, ascent_weight=0.7, seed=4,
-        )
-        out = run_baseline(enc, data, splits, m, AugmentorConfig())
+        m = ACConfig(method="neggrad", epochs=1, lr=0.05, momentum=0.0, weight_decay=0.0,
+                     retain_batch=64, unlearn_batch=4, ascent_weight=0.7, seed=4)
+        out = run_ac(enc, data, splits, m, AugmentorConfig())
         rperm = seeds.stream_rng(4, seeds.SHUFFLE_MAIN, 0).permutation(splits.retain)
         uperm = seeds.stream_rng(4, seeds.SHUFFLE_SIDE, 0).permutation(splits.unlearn)
         rx, ry = paired_views_for_ids(data, rperm, AugmentorConfig(), 4, 0)
@@ -352,13 +347,36 @@ class TestRuns:
 
     def test_method_validation(self):
         with pytest.raises(ConfigurationError, match="retrain"):
-            UnlearnMethod(name="retrain")
+            ACConfig(method="retrain")
         with pytest.raises(ConfigurationError):
-            UnlearnMethod(name="bogus")
+            ACConfig(method="bogus")
         with pytest.raises(ConfigurationError):
             ACConfig(negpair_weight=-1.0)
         with pytest.raises(ConfigurationError):
             ACConfig(unlearn_scale=-0.5)
+
+
+@pytest.mark.parametrize("cls,kwargs", [
+    (ACConfig, {"lr": np.nan}),
+    (ACConfig, {"l1_coeff": np.nan}),
+    (ACConfig, {"ascent_weight": np.nan}),
+    (ACConfig, {"forget_weight": np.nan}),
+    (ACConfig, {"unlearn_scale": np.nan}),
+    (ACConfig, {"temperature": np.nan}),
+    (ACConfig, {"epochs": 0, "momentum": 1.0}),
+    (ACConfig, {"epochs": 0, "weight_decay": -1.0}),
+    (ContrastiveConfig, {"temperature": np.nan}),
+    (ContrastiveConfig, {"epochs": 0, "momentum": 1.0}),
+    (ProbeConfig, {"epochs": 0, "momentum": np.nan}),
+    (ProbeConfig, {"epochs": 0, "weight_decay": -1.0}),
+    (OptState, {"base_lr": np.nan}),
+    (AugmentorConfig, {"noise_sigma": np.nan}),
+])
+def test_bad_setting_rejected_when_built(cls, kwargs):
+    """NaN fails every range check, and the SGD settings are checked even
+    when no step will run."""
+    with pytest.raises(ConfigurationError):
+        cls(**kwargs)
 
 
 def _image_problem():
@@ -386,26 +404,38 @@ def _reference_pretrain(data, ids, cfg, arch, aug):
     return net
 
 
-def _reference_unlearn(start, data, splits, aug, cfg, scale=None, ascent_weight=None):
-    """AC at `scale`, or neggrad when ascent_weight is given."""
+def _reference_unlearn(start, data, splits, aug, cfg, method, coeff=None):
+    """Plain-loop unlearning by `method`: AC at scale `coeff`, neggrad with
+    ascent weight `coeff`, l1sparsity with L1 coefficient `coeff`, or
+    gradascent, which steps up the InfoNCE gradient of the unlearn set."""
     net = start.copy()
+    ascent_only = method == "gradascent"
+    drive, batch = ((splits.unlearn, cfg.unlearn_batch) if ascent_only
+                    else (splits.retain, cfg.retain_batch))
     width = min(cfg.unlearn_batch, len(splits.unlearn))
     opt = OptState(base_lr=cfg.lr, momentum=cfg.momentum, weight_decay=cfg.weight_decay,
-                   total_steps=cfg.epochs * steps_per_epoch(len(splits.retain), cfg.retain_batch))
+                   total_steps=cfg.epochs * steps_per_epoch(len(drive), batch))
     nce = info_nce_loss_fn(cfg.temperature, allow_singleton=True)
     for epoch in range(cfg.epochs):
         views = lambda ids: _reference_views(data, ids, aug, cfg.seed, epoch)
-        perm = seeds.stream_rng(cfg.seed, seeds.SHUFFLE_MAIN, epoch).permutation(splits.retain)
-        chunks = batch_chunks(perm, cfg.retain_batch)
+        perm = seeds.stream_rng(cfg.seed, seeds.SHUFFLE_MAIN, epoch).permutation(drive)
+        chunks = batch_chunks(perm, batch)
         sideperm = seeds.stream_rng(cfg.seed, seeds.SHUFFLE_SIDE, epoch).permutation(splits.unlearn)
         for chunk, side in zip(chunks, unlearn._tile_ids(sideperm, len(chunks), width)):
-            if ascent_weight is None:
-                fn = ac_stack_loss_fn(len(chunk), width, cfg, scale, PairWorkspace())
+            if method == "ac":
+                fn = ac_stack_loss_fn(len(chunk), width, cfg, coeff, PairWorkspace())
                 _, grads = loss_and_grads(net, np.vstack([views(chunk), views(side)]), fn)
-            else:
+            elif method == "neggrad":
                 _, grads = loss_and_grads(net, views(chunk), nce)
                 _, g_u = loss_and_grads(net, views(side), nce)
-                grads.axpy(-ascent_weight, g_u)
+                grads.axpy(-coeff, g_u)
+            else:
+                _, grads = loss_and_grads(net, views(chunk), nce)
+                if ascent_only:
+                    grads.scale(-1.0)
+                else:
+                    for p, g in zip(net.param_arrays(), grads.arrays()):
+                        g += coeff * np.sign(p)
             sgd_momentum_step(net, grads, opt)
     return net
 
@@ -430,8 +460,20 @@ class TestImageModeTraining:
         cfg = ACConfig(epochs=2, lr=0.05, retain_batch=8, unlearn_batch=4,
                        unlearn_scale=0.5, seed=4)
         self._same(run_ac(start, data, splits, cfg, aug),
-                   _reference_unlearn(start, data, splits, aug, cfg, scale=0.5))
-        m = UnlearnMethod(name="neggrad", epochs=2, lr=0.05, retain_batch=8, unlearn_batch=4,
-                          ascent_weight=0.7, seed=4)
-        self._same(run_baseline(start, data, splits, m, aug),
-                   _reference_unlearn(start, data, splits, aug, m, ascent_weight=0.7))
+                   _reference_unlearn(start, data, splits, aug, cfg, "ac", 0.5))
+        m = ACConfig(method="neggrad", epochs=2, lr=0.05, retain_batch=8, unlearn_batch=4,
+                     ascent_weight=0.7, seed=4)
+        self._same(run_ac(start, data, splits, m, aug),
+                   _reference_unlearn(start, data, splits, aug, m, "neggrad", 0.7))
+
+    @pytest.mark.parametrize("name,coeff", [("gradascent", None), ("l1sparsity", 1e-3)])
+    def test_gradascent_and_l1sparsity(self, name, coeff):
+        # 6 unlearn ids in batches of 4 and 24 retain ids in batches of 8:
+        # every epoch takes at least 2 steps
+        data, splits, aug = _image_problem()
+        start = init_encoder([3072, 8, 4], seed=(1, seeds.NET_INIT))
+        m = ACConfig(method=name, epochs=2, lr=0.05, retain_batch=8, unlearn_batch=4,
+                     l1_coeff=coeff or 0.0, seed=4)
+        got = run_ac(start, data, splits, m, aug)
+        assert got.layers[0].w.tobytes() != start.layers[0].w.tobytes()
+        self._same(got, _reference_unlearn(start, data, splits, aug, m, name, coeff))
