@@ -20,7 +20,6 @@ from .evalsuite import (
     alignment_matrix,
     evaluate,
     forgetting_score,
-    full_report,
     gap_report,
     linear_probe,
     welch_ttest,
@@ -51,7 +50,6 @@ __all__ = [
     "encoder_forward",
     "evaluate",
     "forgetting_score",
-    "full_report",
     "gap_report",
     "gen_synthetic",
     "info_nce_batch",

@@ -124,6 +124,10 @@ def _parse_grid(key: str, text: str) -> list:
     vals = [_finite(key, t) for t in text.split(",") if t.strip()]
     if not vals:
         raise ConfigurationError(f"{key}: empty grid")
+    labels = ["%g" % v for v in vals]  # each names a sweep cell's directory and column
+    if len(set(labels)) < len(labels):
+        raise ConfigurationError(
+            f"{key}: grid values need distinct %g labels, got {','.join(labels)}")
     return vals
 
 
@@ -492,10 +496,9 @@ def cmd_ttest(args) -> int:
 
 
 def cmd_report(cfg: dict, args) -> int:
-    out = _out_dir(cfg)
     candidate = _read_report(Path(args.candidate))
     reference = _read_report(Path(args.reference))
-    _write_gaps(out, candidate, reference)
+    _write_gaps(_out_dir(cfg), candidate, reference)
     return EXIT_OK
 
 

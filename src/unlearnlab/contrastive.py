@@ -60,13 +60,6 @@ class ContrastiveConfig:
         check_sgd_settings(self.base_lr, self.momentum, self.weight_decay)
 
 
-def _as_slice(rows: np.ndarray) -> slice | None:
-    """rows as a slice when they are one ascending contiguous range."""
-    if rows.size and np.all(np.diff(rows) == 1):
-        return slice(int(rows[0]), int(rows[-1]) + 1)
-    return None
-
-
 class PairWorkspace:
     """Reusable storage for the n x n float64 matrices of PairTerms.
 
@@ -95,8 +88,8 @@ class PairTerms:
     one.  p and g are valid until the next PairTerms on the same workspace;
     the gradient result() returns is a fresh array that never aliases it.
 
-    Index arrays passed to add_log_sum_exp must contain unique rows;
-    gradient scatter relies on it.  add_pair_mean tolerates duplicates.
+    add_log_sum_exp takes its anchors and pool as row ranges (slices);
+    add_pair_mean takes index arrays and tolerates repeated pairs.
     """
 
     def __init__(self, feats: np.ndarray, work: PairWorkspace | None = None):
@@ -109,46 +102,39 @@ class PairTerms:
         self.g.fill(0.0)
         self.value = 0.0
 
-    def add_pair_mean(self, rows_a, rows_b, coeff: float, tau: float | None = None) -> None:
-        """coeff * mean over pairs of P[a, b], divided by tau when given."""
+    def add_pair_mean(self, rows_a, rows_b, coeff: float) -> None:
+        """coeff * mean over pairs of P[a, b]."""
         rows_a = np.asarray(rows_a, dtype=np.int64)
         rows_b = np.asarray(rows_b, dtype=np.int64)
         if rows_a.shape != rows_b.shape or rows_a.ndim != 1 or rows_a.size == 0:
             raise ConfigurationError("pair index arrays must be equal-length and non-empty")
-        scale = 1.0 if tau is None else 1.0 / tau
-        vals = self.p[rows_a, rows_b]
-        self.value += coeff * scale * float(vals.mean())
-        per = coeff * scale / rows_a.size
-        np.add.at(self.g, (rows_a, rows_b), per)
+        self.value += coeff * float(self.p[rows_a, rows_b].mean())
+        np.add.at(self.g, (rows_a, rows_b), coeff / rows_a.size)
 
     def add_log_sum_exp(
         self,
-        anchor_rows,
-        pool_rows,
+        anchors: slice,
+        pool: slice,
         coeff: float,
         tau: float,
         exclude_pool_pos=None,
     ) -> None:
-        """coeff * mean over anchors of log sum_k exp(P[a, pool_k]/tau).
+        """coeff * mean over the anchor rows a of log sum_k exp(P[a, k]/tau)
+        over the pool rows k.
 
         exclude_pool_pos[i] >= 0 drops that pool position from anchor i's
         sum (the anchor's own view).  Uses max-subtraction so identical
-        similarities cancel exactly.  Contiguous anchors and pool (InfoNCE,
-        the AC stack) are gathered and scattered as slices.  The
-        exponentials are worked out in a C-contiguous block of the scratch
-        matrix, laid out as a fresh array would be, so sums round the same.
+        similarities cancel exactly.  The exponentials are worked out in a
+        C-contiguous block of the scratch matrix, laid out as a fresh array
+        would be, so sums round the same.
         """
-        anchor_rows = np.asarray(anchor_rows, dtype=np.int64)
-        pool_rows = np.asarray(pool_rows, dtype=np.int64)
-        if anchor_rows.size == 0 or pool_rows.size == 0:
+        cells = self.p[anchors, pool]
+        if cells.size == 0:
             raise ConfigurationError("log-sum-exp needs non-empty anchors and pool")
         if tau <= 0:
             raise ConfigurationError("temperature must be > 0")
-        a, q = _as_slice(anchor_rows), _as_slice(pool_rows)
-        cells = (a, q) if a is not None and q is not None else np.ix_(anchor_rows, pool_rows)
-        shape = (anchor_rows.size, pool_rows.size)
-        block = self._scratch.reshape(-1)[: shape[0] * shape[1]].reshape(shape)
-        s = np.divide(self.p[cells], tau, out=block)
+        block = self._scratch.reshape(-1)[: cells.size].reshape(cells.shape)
+        s = np.divide(cells, tau, out=block)
         if exclude_pool_pos is not None:
             exclude_pool_pos = np.asarray(exclude_pool_pos, dtype=np.int64)
             which = np.nonzero(exclude_pool_pos >= 0)[0]
@@ -162,12 +148,46 @@ class PairTerms:
         lse = m + np.log(tot)
         self.value += coeff * float(lse.mean())
         e /= tot[:, None]
-        e *= coeff / (anchor_rows.size * tau)
-        self.g[cells] += e
+        e *= coeff / (cells.shape[0] * tau)
+        self.g[anchors, pool] += e
 
     def result(self) -> tuple[float, np.ndarray]:
         sym = np.add(self.g, self.g.T, out=self._scratch)
         return self.value, sym @ self.z
+
+
+def _terms_loss_fn(*terms, work: PairWorkspace | None = None) -> LossFn:
+    """The loss of a feature stack that is the sum of terms, each a function
+    that adds itself to the stack's PairTerms.  Every call builds its pair
+    matrices in work (a private one by default)."""
+    work = work or PairWorkspace()
+
+    def fn(z):
+        acc = PairTerms(z, work)
+        for add in terms:
+            add(acc)
+        return acc.result()
+
+    return fn
+
+
+def _info_nce_terms(n_pairs: int, pool: slice, exclude, tau: float):
+    """A function that adds paired-view InfoNCE to a PairTerms: over the
+    stack's first 2 * n_pairs rows, laid out [x; y], the mean of
+    -s(a, partner)/tau + log sum_k exp(s(a, k)/tau) with k over the pool
+    rows, less pool position exclude[a] when it is >= 0.  The index arrays
+    it uses are built once, here."""
+    if not tau > 0:
+        raise ConfigurationError("temperature must be > 0")
+    anchors = np.arange(2 * n_pairs)
+    partners = (anchors + n_pairs) % (2 * n_pairs)
+    rows = slice(0, 2 * n_pairs)
+
+    def add(acc: PairTerms) -> None:
+        acc.add_pair_mean(anchors, partners, coeff=-1.0 / tau)
+        acc.add_log_sum_exp(rows, pool, coeff=1.0, tau=tau, exclude_pool_pos=exclude)
+
+    return add
 
 
 def _check_paired_stack(feats: np.ndarray, allow_singleton: bool) -> int:
@@ -191,18 +211,9 @@ def info_nce_with_grads(
     -s(a, partner)/tau + log sum_{k != a} exp(s(a, k)/tau).  Returns the
     value and its gradient w.r.t. the stack; the pair matrices are built in
     work when given (see PairTerms)."""
-    feats = np.asarray(feats, dtype=np.float64)
     b = _check_paired_stack(feats, allow_singleton)
-    if temperature <= 0:
-        raise ConfigurationError("temperature must be > 0")
-    n = 2 * b
-    anchors = np.arange(n)
-    partners = (anchors + b) % n
-    acc = PairTerms(feats, work)
-    acc.add_pair_mean(anchors, partners, coeff=-1.0, tau=temperature)
-    acc.add_log_sum_exp(anchors, anchors, coeff=1.0, tau=temperature,
-                        exclude_pool_pos=anchors)
-    return acc.result()
+    terms = _info_nce_terms(b, slice(0, 2 * b), np.arange(2 * b), temperature)
+    return _terms_loss_fn(terms, work=work)(feats)
 
 
 def info_nce_batch(feats, temperature: float, allow_singleton: bool = False) -> float:

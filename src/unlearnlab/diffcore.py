@@ -77,14 +77,6 @@ class EncoderNet:
     def input_dim(self) -> int:
         return self.layers[0].in_dim
 
-    @property
-    def output_dim(self) -> int:
-        return self.layers[-1].out_dim
-
-    @property
-    def layer_dims(self) -> list[int]:
-        return [self.input_dim] + [la.out_dim for la in self.layers]
-
     def copy(self) -> "EncoderNet":
         return EncoderNet(
             [DenseLayer(la.w.copy(), la.b.copy()) for la in self.layers],
@@ -213,8 +205,8 @@ def _forward_cached(net: EncoderNet, batch: np.ndarray):
 
 
 def encoder_forward(net: EncoderNet, batch) -> np.ndarray:
-    """Features for a batch, shape (n, output_dim).  Unit rows when
-    normalize_output is on (up to the tiny norm floor)."""
+    """Features for a batch, shape (n, out_dim of the last layer).  Unit
+    rows when normalize_output is on (up to the tiny norm floor)."""
     z, _ = _forward_cached(net, batch)
     return z
 

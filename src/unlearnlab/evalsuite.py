@@ -58,7 +58,6 @@ class AlignmentGapMatrix:
     values: np.ndarray
     row_ids: np.ndarray
     col_ids: np.ndarray
-    provenance: tuple[str, str] = ("before", "after")
 
 
 @dataclass
@@ -175,17 +174,14 @@ def alignment_matrix(feats_x, feats_y, row_ids=None, col_ids=None) -> AlignmentM
     return AlignmentMatrix(np.clip(zx @ zy.T, -1.0, 1.0), row_ids, col_ids)
 
 
-def alignment_gap(before: AlignmentMatrix, after: AlignmentMatrix,
-                  provenance: tuple[str, str] = ("before", "after")) -> AlignmentGapMatrix:
+def alignment_gap(before: AlignmentMatrix, after: AlignmentMatrix) -> AlignmentGapMatrix:
     if before.values.shape != after.values.shape:
         raise ConfigurationError("alignment matrices have different shapes")
     if not (np.array_equal(before.row_ids, after.row_ids)
             and np.array_equal(before.col_ids, after.col_ids)):
         raise ConfigurationError("alignment matrices cover different ids")
     return AlignmentGapMatrix(
-        before.values - after.values, before.row_ids.copy(), before.col_ids.copy(),
-        provenance,
-    )
+        before.values - after.values, before.row_ids.copy(), before.col_ids.copy())
 
 
 def forgetting_score_from_features(bx, by, ax, ay) -> tuple[float, np.ndarray]:
@@ -350,17 +346,14 @@ def fit_threshold(member_scores, nonmember_scores) -> tuple[float, float]:
 _MI_N_VIEWS = 10
 
 
-def _mi_views(data: LabeledDataset, ids, aug: AugmentorConfig, seed: int,
-              n_views: int) -> np.ndarray:
-    """n_views replayed MI views of each id, shape (len(ids), n_views, d)."""
+def _mi_views(data: LabeledDataset, ids, aug: AugmentorConfig, seed: int) -> np.ndarray:
+    """_MI_N_VIEWS replayed MI views of each id, shape (len(ids), _MI_N_VIEWS, d)."""
     ids = np.asarray(ids, dtype=np.int64)
     if ids.size == 0:
         raise ConfigurationError("need at least one id to score")
-    if n_views < 2:
-        raise ConfigurationError("n_views must be >= 2")
     rows = data.rows_for(ids)
     return np.stack([
-        augment_views(data.samples[row], aug, n_views,
+        augment_views(data.samples[row], aug, _MI_N_VIEWS,
                       seeds.stream_rng(seed, seeds.MI_VIEWS, int(sid)))
         for sid, row in zip(ids, rows)
     ])
@@ -381,11 +374,10 @@ def mi_alignment_scores(
     ids,
     aug: AugmentorConfig,
     seed: int,
-    n_views: int = _MI_N_VIEWS,
 ) -> np.ndarray:
-    """Per-sample mean pairwise cosine across n stochastic views (C(n,2)
-    pairs; 45 for the default 10 views)."""
-    return _mi_scores(enc, _mi_views(data, ids, aug, seed, n_views))
+    """Per-sample mean pairwise cosine across _MI_N_VIEWS stochastic views
+    (45 pairs for its 10 views)."""
+    return _mi_scores(enc, _mi_views(data, ids, aug, seed))
 
 
 def _attack_sets(splits: Splits, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -413,11 +405,10 @@ def encoder_mi_efficacy(
     splits: Splits,
     aug: AugmentorConfig,
     seed: int,
-    n_views: int = _MI_N_VIEWS,
 ) -> float:
     """Train the view-alignment membership attack on retain-vs-test scores,
     then report the fraction of unlearn samples it calls non-members."""
-    return _efficacy(*(mi_alignment_scores(enc, data, ids, aug, seed, n_views)
+    return _efficacy(*(mi_alignment_scores(enc, data, ids, aug, seed)
                        for ids in _attack_sets(splits, seed)))
 
 
@@ -570,10 +561,11 @@ def evaluate(
     probe_cfg: ProbeConfig,
     seed: int,
 ) -> dict[str, EvalReport]:
-    """full_report for each named encoder against one pre-unlearning
-    encoder. The audit views, before's features of them, the member sample
-    and the MI views are built once and shared by every encoder; each
-    report's runtime counts that shared work plus its own scoring.
+    """The EvalReport of each named encoder against one pre-unlearning
+    encoder: forgetting score, both membership attacks and probe
+    accuracies. The audit views, before's features of them, the member
+    sample and the MI views are built once and shared by every encoder;
+    each report's runtime counts that shared work plus its own scoring.
 
     Each encoder forwards the retain, test, unlearn and member samples
     once: the probe trains on the retain features, the accuracies score the
@@ -583,7 +575,7 @@ def evaluate(
     xs, ys = paired_unlearn_views(data, splits.unlearn, aug, seed)
     bx, by = encoder_forward(before, xs), encoder_forward(before, ys)
     attack_ids = _attack_sets(splits, seed)
-    mi_views = [_mi_views(data, ids, aug, seed, _MI_N_VIEWS) for ids in attack_ids]
+    mi_views = [_mi_views(data, ids, aug, seed) for ids in attack_ids]
     # the member sample is a forward batch of its own: as rows of the retain
     # batch, its features could round differently in BLAS
     scored_ids = (splits.retain, splits.test, splits.unlearn, attack_ids[0])
@@ -605,18 +597,3 @@ def evaluate(
             runtime_seconds=shared_s + time.perf_counter() - t1,
         )
     return reports
-
-
-def full_report(
-    candidate: EncoderNet,
-    before: EncoderNet,
-    data: LabeledDataset,
-    splits: Splits,
-    aug: AugmentorConfig,
-    probe_cfg: ProbeConfig,
-    seed: int,
-) -> EvalReport:
-    """Forgetting score of candidate vs the pre-unlearning encoder, both
-    membership attacks, and probe accuracies."""
-    return evaluate({"candidate": candidate}, before, data, splits, aug, probe_cfg,
-                    seed)["candidate"]

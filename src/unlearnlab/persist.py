@@ -169,8 +169,16 @@ class _Cursor:
 
 def load_encoder(path: PathLike) -> EncoderNet:
     """Read a checkpoint written by save_encoder. The file is read once,
-    into one array whose slices become the weights and biases."""
-    cur = _Cursor(np.fromfile(path, dtype=np.uint8))
+    into one array whose slices become the weights and biases; a malformed
+    one raises DataFormatError naming the file and the byte offset."""
+    try:
+        return _decode_encoder(np.fromfile(path, dtype=np.uint8))
+    except DataFormatError as exc:
+        raise DataFormatError(f"{path}: {exc}") from exc
+
+
+def _decode_encoder(blob: np.ndarray) -> EncoderNet:
+    cur = _Cursor(blob)
     magic = cur.take(4, "magic")
     if magic != CHECKPOINT_MAGIC:
         raise DataFormatError(

@@ -33,6 +33,8 @@ from .contrastive import (
     ContrastiveConfig,
     PairTerms,
     PairWorkspace,
+    _info_nce_terms,
+    _terms_loss_fn,
     batch_chunks,
     info_nce_loss_fn,
     pretrain_on_ids,
@@ -109,59 +111,43 @@ class ACConfig:
 
 # --- loss builders over a feature stack ---------------------------------------
 
-def _retain_terms(acc: PairTerms, n_pairs: int, pool_rows, exclude_pos, tau: float) -> None:
-    """-mean_a s(a, partner)/tau + mean_a logsumexp over the pool."""
-    anchors = np.arange(2 * n_pairs)
-    partners = (anchors + n_pairs) % (2 * n_pairs)
-    acc.add_pair_mean(anchors, partners, coeff=-1.0, tau=tau)
-    acc.add_log_sum_exp(anchors, pool_rows, coeff=1.0, tau=tau, exclude_pool_pos=exclude_pos)
-
-
-def _neg_pair_indices(n_pairs: int) -> tuple[np.ndarray, np.ndarray]:
-    """All unordered view pairs from distinct samples in a (2U) view block
-    ordered [x0..xU-1, y0..yU-1]."""
-    rows = np.arange(2 * n_pairs)
-    sample = rows % n_pairs
-    i, j = np.triu_indices(2 * n_pairs, k=1)
-    keep = sample[i] != sample[j]
-    return i[keep], j[keep]
-
-
 def _unlearn_terms(
-    x_rows: np.ndarray,
-    y_rows: np.ndarray,
-    pool_rows,
-    exclude_pos,
+    n_pairs: int,
+    first_row: int,
+    pool: slice,
+    exclude_pool_pos,
     negpair_weight: float,
     forget_weight: float,
     preserve_weight: float,
     tau: float,
     coeff: float = 1.0,
 ):
-    """A function that adds the unlearn terms to a PairTerms; the index
-    arrays it uses are built once, here."""
-    rows = np.concatenate([x_rows, y_rows])
+    """A function that adds the unlearn terms of the 2 * n_pairs rows from
+    first_row on, laid out [ux; uy], to a PairTerms; the index arrays it
+    uses are built once, here."""
+    rows = first_row + np.arange(2 * n_pairs)
     neg = None
     if negpair_weight != 0.0:
-        i, j = _neg_pair_indices(len(x_rows))
-        if len(i) == 0:
+        # every unordered pair of views of distinct samples
+        i, j = np.triu_indices(2 * n_pairs, k=1)
+        keep = i % n_pairs != j % n_pairs
+        if not keep.any():
             warnings.warn(
                 "single-sample unlearn batch has no cross-sample pairs; "
                 "negpair term contributes nothing"
             )
         else:
-            neg = rows[i], rows[j]
+            neg = rows[i[keep]], rows[j[keep]]
+    anchors = slice(first_row, first_row + 2 * n_pairs)
 
     def add(acc: PairTerms) -> None:
         if neg is not None:
             acc.add_pair_mean(*neg, coeff=-negpair_weight * coeff)
         if forget_weight != 0.0:
-            acc.add_pair_mean(x_rows, y_rows, coeff=forget_weight * coeff)
+            acc.add_pair_mean(rows[:n_pairs], rows[n_pairs:], coeff=forget_weight * coeff)
         if preserve_weight != 0.0:
-            acc.add_log_sum_exp(
-                rows, pool_rows, coeff=preserve_weight * coeff, tau=tau,
-                exclude_pool_pos=exclude_pos,
-            )
+            acc.add_log_sum_exp(anchors, pool, coeff=preserve_weight * coeff, tau=tau,
+                                exclude_pool_pos=exclude_pool_pos)
 
     return add
 
@@ -170,14 +156,8 @@ def retain_stack_loss_fn(
     n_pairs: int, n_pool: int, temperature: float, exclude_pool_pos=None
 ) -> LossFn:
     """Loss over a stack laid out [x views; y views; pool rows]."""
-    pool_rows = 2 * n_pairs + np.arange(n_pool)
-
-    def fn(z):
-        acc = PairTerms(z)
-        _retain_terms(acc, n_pairs, pool_rows, exclude_pool_pos, temperature)
-        return acc.result()
-
-    return fn
+    pool = slice(2 * n_pairs, 2 * n_pairs + n_pool)
+    return _terms_loss_fn(_info_nce_terms(n_pairs, pool, exclude_pool_pos, temperature))
 
 
 def unlearn_stack_loss_fn(
@@ -190,20 +170,11 @@ def unlearn_stack_loss_fn(
     exclude_pool_pos=None,
 ) -> LossFn:
     """Loss over a stack laid out [x views; y views; pool rows]."""
-    x_rows = np.arange(n_pairs)
-    y_rows = n_pairs + np.arange(n_pairs)
-    pool_rows = 2 * n_pairs + np.arange(n_pool)
-    add_unlearn = _unlearn_terms(
-        x_rows, y_rows, pool_rows, exclude_pool_pos,
+    pool = slice(2 * n_pairs, 2 * n_pairs + n_pool)
+    return _terms_loss_fn(_unlearn_terms(
+        n_pairs, 0, pool, exclude_pool_pos,
         negpair_weight, forget_weight, preserve_weight, temperature,
-    )
-
-    def fn(z):
-        acc = PairTerms(z)
-        add_unlearn(acc)
-        return acc.result()
-
-    return fn
+    ))
 
 
 def ac_stack_loss_fn(
@@ -214,79 +185,55 @@ def ac_stack_loss_fn(
     pool is the whole stack and every anchor excludes its own row.  Every
     call builds its pair matrices in work (a private one by default)."""
     n = 2 * n_retain + 2 * n_unlearn
-    pool_rows = np.arange(n)
-    retain_excl = np.arange(2 * n_retain)
-    ux_rows = 2 * n_retain + np.arange(n_unlearn)
-    uy_rows = 2 * n_retain + n_unlearn + np.arange(n_unlearn)
-    unlearn_excl = np.arange(2 * n_retain, n)
-    add_unlearn = _unlearn_terms(
-        ux_rows, uy_rows, pool_rows, unlearn_excl,
-        cfg.negpair_weight, cfg.forget_weight, cfg.preserve_weight,
-        cfg.temperature, coeff=unlearn_scale,
+    pool = slice(0, n)
+    return _terms_loss_fn(
+        _info_nce_terms(n_retain, pool, np.arange(2 * n_retain), cfg.temperature),
+        _unlearn_terms(
+            n_unlearn, 2 * n_retain, pool, np.arange(2 * n_retain, n),
+            cfg.negpair_weight, cfg.forget_weight, cfg.preserve_weight,
+            cfg.temperature, coeff=unlearn_scale,
+        ),
+        work=work,
     )
-    work = work or PairWorkspace()
-
-    def fn(z):
-        acc = PairTerms(z, work)
-        _retain_terms(acc, n_retain, pool_rows, retain_excl, cfg.temperature)
-        add_unlearn(acc)
-        return acc.result()
-
-    return fn
 
 
 # --- public value-level ops ----------------------------------------------------
 
-def _first_match_positions(anchors: np.ndarray, pool: np.ndarray) -> np.ndarray:
-    """Position of each anchor view's first bitwise-equal pool row, else -1."""
-    out = np.full(len(anchors), -1, dtype=np.int64)
-    for k, a in enumerate(anchors):
-        hits = np.nonzero(np.all(pool == a, axis=1))[0]
-        if len(hits):
-            out[k] = hits[0]
-    return out
-
-
-def _check_views(x, y, pool, enc):
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    pool = np.asarray(pool, dtype=np.float64)
+def _pool_loss(enc: EncoderNet, x, y, pool, make_fn) -> float:
+    """The loss make_fn(n_pairs, n_pool, exclude_pool_pos) builds, over the
+    features of the stack [x; y; pool].  Each view of x and y found bitwise
+    in pool leaves its first match there out of its own sum."""
+    x, y, pool = (np.asarray(a, dtype=np.float64) for a in (x, y, pool))
     if x.ndim != 2 or x.shape != y.shape or x.shape[0] < 1:
         raise ConfigurationError("view matrices must be 2-d and row-aligned")
     if pool.ndim != 2 or pool.shape[0] < 1 or pool.shape[1] != x.shape[1]:
         raise ConfigurationError("pool must be a non-empty matrix matching view dim")
     if x.shape[1] != enc.input_dim:
         raise ConfigurationError("view dim does not match encoder input dim")
-    return x, y, pool
+    anchors = np.vstack([x, y])
+    excl = np.full(len(anchors), -1, dtype=np.int64)
+    for k, a in enumerate(anchors):
+        hits = np.nonzero(np.all(pool == a, axis=1))[0]
+        if len(hits):
+            excl[k] = hits[0]
+    z = encoder_forward(enc, np.vstack([anchors, pool]))
+    return float(make_fn(len(x), len(pool), excl)(z)[0])
 
 
 def retain_loss(enc: EncoderNet, retain_x, retain_y, pool_views, temperature: float) -> float:
     """Contrastive loss of the retain batch against a similarity pool.
     Anchors found bitwise in the pool are excluded from their own sum;
     with pool == the batch views this equals the training loss."""
-    x, y, pool = _check_views(retain_x, retain_y, pool_views, enc)
-    anchors = np.vstack([x, y])
-    excl = _first_match_positions(anchors, pool)
-    z = encoder_forward(enc, np.vstack([anchors, pool]))
-    fn = retain_stack_loss_fn(x.shape[0], pool.shape[0], temperature, exclude_pool_pos=excl)
-    return float(fn(z)[0])
+    return _pool_loss(enc, retain_x, retain_y, pool_views,
+                      lambda n, m, excl: retain_stack_loss_fn(n, m, temperature, excl))
 
 
-def unlearn_loss(
-    enc: EncoderNet, unlearn_x, unlearn_y, pool_views, cfg: ACConfig, temperature: float | None = None
-) -> float:
-    """Alignment-reshaping loss of the unlearn batch against a pool."""
-    tau = cfg.temperature if temperature is None else temperature
-    x, y, pool = _check_views(unlearn_x, unlearn_y, pool_views, enc)
-    anchors = np.vstack([x, y])
-    excl = _first_match_positions(anchors, pool)
-    z = encoder_forward(enc, np.vstack([anchors, pool]))
-    fn = unlearn_stack_loss_fn(
-        x.shape[0], pool.shape[0],
-        cfg.negpair_weight, cfg.forget_weight, cfg.preserve_weight,
-        tau, exclude_pool_pos=excl,
-    )
-    return float(fn(z)[0])
+def unlearn_loss(enc: EncoderNet, unlearn_x, unlearn_y, pool_views, cfg: ACConfig) -> float:
+    """Alignment-reshaping loss of the unlearn batch against a pool, at
+    cfg.temperature."""
+    return _pool_loss(enc, unlearn_x, unlearn_y, pool_views, lambda n, m, excl: (
+        unlearn_stack_loss_fn(n, m, cfg.negpair_weight, cfg.forget_weight,
+                              cfg.preserve_weight, cfg.temperature, excl)))
 
 
 # --- SGD drivers ----------------------------------------------------------------

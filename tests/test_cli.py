@@ -146,6 +146,16 @@ class TestConfig:
         assert diffs == [(prefix, _RENAMED.get(key, name))]
         assert changed[prefix][_RENAMED.get(key, name)] == value
 
+    @pytest.mark.parametrize("grid", ["4,4.0000001,0", "0,8,0"])
+    def test_sweep_grid_labels_must_differ(self, tmp_path, capsys, grid):
+        # two cells with one %g label would share a directory and a column
+        out = tmp_path / "out"
+        rc = main(["sweep", "--out", str(out), "--set", f"sweep.forget_weights={grid}"])
+        assert rc == EXIT_CONFIG
+        assert "sweep.forget_weights: grid values need distinct %g labels" in (
+            capsys.readouterr().err)
+        assert not out.exists()
+
     def test_env_var_sets_default_out(self, tmp_path, monkeypatch):
         monkeypatch.setenv("UNLEARNLAB_OUT", str(tmp_path / "envout"))
         assert main(["gen-data", "--set", "data.count=40", "--set", "data.dim=4"]) == EXIT_OK
@@ -389,6 +399,127 @@ class TestTrainingExitCodes:
         if code == EXIT_FORMAT:
             assert str(paths["splits"]) in err
             assert ("repeats line" if fault == "repeated_id" else "split id 999999") in err
+
+
+def _put(path: Path, content) -> Path:
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(content)
+    return path
+
+
+_CIFAR_PIXELS = bytes(3072)
+
+
+def _stage_fault(fault, cfg, run, inp, out):
+    """argv of one failing call, and the file or key its error must name."""
+    gen = ["gen-data", "--out", str(out), "--set"]
+    sweep = stage_argv("sweep", cfg, run, out, encoder=run / "encoder.bin",
+                       reference=run / "retrain.bin")
+    report = ["report", "--out", str(out), "--reference", str(_put(inp / "ref.txt", "ra=1\n"))]
+    dump = inp / "x.csv"
+    write_feature_dump(dump, [0, 1], np.eye(2))
+    audit = ["audit", "--out", str(out), "--before-y", str(dump), "--after-x", str(dump),
+             "--after-y", str(dump), "--before-x"]
+    ttest = ["ttest", "--mean-a", "0", "--mean-b", "1", "--std-b", "1", "--n-b", "5"]
+    if fault == "bogus_source":
+        return gen + ["data.source=bogus"], "data.source"
+    if fault == "cifar_without_path":
+        return gen + ["data.source=cifar10"], "data.path"
+    if fault.startswith("cifar_"):
+        path = inp / "batch.bin"
+        if fault == "cifar_bad_size":
+            _put(path, b"\0" + _CIFAR_PIXELS[1:])
+        elif fault == "cifar_bad_label":
+            _put(path, b"\0" + _CIFAR_PIXELS + b"\x0a" + _CIFAR_PIXELS)
+        return gen + ["data.source=cifar10", "--set", f"data.path={path}"], str(path)
+    if fault == "zero_unlearn_fraction":
+        return (["split", "--out", str(out), "--data", str(run / "dataset.csv"),
+                 "--set", "split.unlearn_fraction=0"], "unlearn_fraction")
+    if fault == "empty_grid":
+        return sweep + ["--set", "sweep.forget_weights=,"], "sweep.forget_weights"
+    if fault == "duplicate_grid":
+        text = Path(cfg).read_text() + "sweep.forget_weights=4,4.0000001,0\n"
+        path = _put(inp / "dup.cfg", text)
+        sweep[sweep.index(cfg)] = str(path)
+        return sweep, f"{path}:{len(text.splitlines())}: sweep.forget_weights"
+    if fault == "missing_retrain":
+        path = inp / "retrain.bin"
+        return sweep[:-1] + [str(path)], str(path)
+    if fault == "truncated_encoder":
+        blob = (run / "encoder.bin").read_bytes()
+        path = _put(inp / "encoder.bin", blob[:len(blob) // 2])
+        return stage_argv("sweep", cfg, run, out, encoder=path,
+                          reference=run / "retrain.bin"), str(path)
+    if fault == "sweep_lr":
+        return sweep + ["--set", "unlearn.lr=1e300"], "non-finite"
+    if fault == "missing_report":
+        path = inp / "absent.txt"
+        return report + ["--candidate", str(path)], str(path)
+    if fault.startswith("report_"):
+        path = _put(inp / "cand.txt", {"report_no_equals": "ra 1\n", "report_bad_number": "ra=x\n",
+                                       "report_empty": ""}[fault])
+        return report + ["--candidate", str(path)], str(path)
+    if fault == "negative_std":
+        return ttest + ["--std-a", "-1", "--n-a", "5"], "std must be >= 0"
+    if fault == "single_sample":
+        return ttest + ["--std-a", "1", "--n-a", "1"], "n >= 2"
+    if fault == "missing_dump":
+        path = inp / "absent.csv"
+        return audit + [str(path)], str(path)
+    if fault == "dump_without_id":
+        path = _put(inp / "bx.csv", "sample,dim0,dim1\n0,1,0\n1,0,1\n")
+        return audit + [str(path)], str(path)
+    raise AssertionError(fault)
+
+
+_STAGE_FAULTS = [
+    ("gen-data", "bogus_source", EXIT_CONFIG),
+    ("gen-data", "cifar_without_path", EXIT_CONFIG),
+    ("gen-data", "cifar_missing", EXIT_MISSING_INPUT),
+    ("gen-data", "cifar_bad_size", EXIT_FORMAT),
+    ("gen-data", "cifar_bad_label", EXIT_FORMAT),
+    ("split", "zero_unlearn_fraction", EXIT_CONFIG),
+    ("sweep", "empty_grid", EXIT_CONFIG),
+    ("sweep", "duplicate_grid", EXIT_CONFIG),
+    ("sweep", "missing_retrain", EXIT_MISSING_INPUT),
+    ("sweep", "truncated_encoder", EXIT_FORMAT),
+    ("sweep", "sweep_lr", EXIT_NUMERIC),
+    ("report", "missing_report", EXIT_MISSING_INPUT),
+    ("report", "report_no_equals", EXIT_FORMAT),
+    ("report", "report_bad_number", EXIT_FORMAT),
+    ("report", "report_empty", EXIT_FORMAT),
+    ("ttest", "negative_std", EXIT_CONFIG),
+    ("ttest", "single_sample", EXIT_CONFIG),
+    ("audit", "missing_dump", EXIT_MISSING_INPUT),
+    ("audit", "dump_without_id", EXIT_FORMAT),
+]
+
+
+class TestStageExitCodes:
+    """gen-data, split, sweep, report, ttest and dump-mode audit. The error
+    names the file or key at fault (a diverging run names the non-finite
+    step instead); a failed call leaves only its config snapshot, and report,
+    ttest and a grid rejected as the config is read leave nothing at all."""
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("command,fault,code", _STAGE_FAULTS)
+    def test_exit_code(self, eval_inputs, tmp_path, capsys, monkeypatch, command, fault, code):
+        cfg, run = eval_inputs
+        inp, cwd, out = tmp_path / "in", tmp_path / "cwd", tmp_path / "out"
+        inp.mkdir()
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        argv, named = _stage_fault(fault, cfg, run, inp, out)
+        assert argv[0] == command
+        assert main(argv) == code
+        assert named in capsys.readouterr().err
+        if command in ("report", "ttest") or fault.endswith("_grid"):
+            assert not out.exists()
+        else:
+            assert sorted(p.name for p in out.iterdir()) == [f"config.{command}.txt"]
+        assert list(cwd.iterdir()) == []
 
 
 class TestProbeForwards:

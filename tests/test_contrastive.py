@@ -111,29 +111,106 @@ class TestPairTerms:
         val, dz = acc.result()
         assert val == pytest.approx(2.0 * z[0] @ z[1], abs=1e-15)
 
-    def test_fast_path_matches_general_path(self, monkeypatch):
-        from unlearnlab.unlearn import ACConfig, ac_stack_loss_fn
-
-        rng = np.random.default_rng(7)
-        cases = [(lambda z: info_nce_with_grads(z, 0.5), rng.normal(size=(2 * b, 5)))
-                 for b in (2, 9, 64)]
-        for scale in (0.0, 0.3):
-            fn = ac_stack_loss_fn(12, 4, ACConfig(temperature=0.4), scale)
-            cases.append((fn, rng.normal(size=(2 * 12 + 2 * 4, 5))))
-        assert contrastive._as_slice(np.arange(3, 9)) == slice(3, 9)
-        fast = [fn(z) for fn, z in cases]
-        # general path: np.ix_ gather and scatter
-        monkeypatch.setattr(contrastive, "_as_slice", lambda rows: None)
-        for (fn, z), (value, grad) in zip(cases, fast):
-            ref_value, ref_grad = fn(z)
-            assert np.array_equal(value, ref_value)
-            assert np.array_equal(grad, ref_grad)
-
     def test_empty_pool_rejected(self):
         z = unit_rows([[1.0, 0.0], [0.0, 1.0]])
         acc = PairTerms(z)
         with pytest.raises(ConfigurationError):
-            acc.add_log_sum_exp([0], [0], coeff=1.0, tau=0.5, exclude_pool_pos=[0])
+            acc.add_log_sum_exp(slice(0, 1), slice(0, 1), coeff=1.0, tau=0.5,
+                                exclude_pool_pos=[0])
+
+
+def _reference_lse(s, anchors, keep):
+    """mean over anchors of log sum_k exp(s[a, k]) over the kept k, and its
+    derivative with respect to s; keep is an explicit boolean mask."""
+    rows = s[anchors]
+    masked = np.where(keep, rows, -np.inf)
+    m = masked.max(axis=1, keepdims=True)
+    w = np.where(keep, np.exp(rows - m), 0.0)
+    tot = w.sum(axis=1, keepdims=True)
+    d = np.zeros_like(s)
+    d[anchors] = w / tot / len(anchors)
+    return float(np.mean(m[:, 0] + np.log(tot[:, 0]))), d
+
+
+def _reference_pair_mean(n, pairs):
+    """The derivative of the mean of P over the (i, j) pairs."""
+    d = np.zeros((n, n))
+    for i, j in pairs:
+        d[i, j] += 1.0 / len(pairs)
+    return d
+
+
+def _reference_info_nce(z, tau):
+    """InfoNCE over the stack [x; y], as a value and dL/dz: each row's
+    partner is the other view of its sample, and its pool is every other
+    row."""
+    n = len(z)
+    b = n // 2
+    p = z @ z.T
+    partners = [(a, (a + b) % n) for a in range(n)]
+    lse, d_lse = _reference_lse(p / tau, np.arange(n), ~np.eye(n, dtype=bool))
+    value = -np.mean([p[a, k] for a, k in partners]) / tau + lse
+    dp = -_reference_pair_mean(n, partners) / tau + d_lse / tau
+    return value, (dp + dp.T) @ z
+
+
+def _reference_ac(z, n_r, n_u, cfg, scale):
+    """The AC loss over the stack [rx; ry; ux; uy] and dL/dz: InfoNCE of the
+    retain rows against the whole stack, minus negpair_weight times the mean
+    similarity of unlearn views of different samples, plus forget_weight
+    times the mean positive-pair similarity, plus preserve_weight times the
+    unlearn rows' log-sum-exp against the whole stack; every pool drops the
+    anchor's own row, and the unlearn terms are scaled by scale."""
+    n = len(z)
+    tau = cfg.temperature
+    p = z @ z.T
+    not_self = ~np.eye(n, dtype=bool)
+    r_rows = np.arange(2 * n_r)
+    u_rows = 2 * n_r + np.arange(2 * n_u)
+    partners = [(a, (a + n_r) % (2 * n_r)) for a in r_rows]
+    negpairs = [(u_rows[i], u_rows[j]) for i in range(2 * n_u) for j in range(i + 1, 2 * n_u)
+                if i % n_u != j % n_u]
+    forget = [(u_rows[i], u_rows[n_u + i]) for i in range(n_u)]
+    r_lse, d_r = _reference_lse(p / tau, r_rows, not_self[r_rows])
+    u_lse, d_u = _reference_lse(p / tau, u_rows, not_self[u_rows])
+
+    def mean_p(pairs):
+        return np.mean([p[i, j] for i, j in pairs])
+
+    value = (-mean_p(partners) / tau + r_lse
+             + scale * (-cfg.negpair_weight * mean_p(negpairs)
+                        + cfg.forget_weight * mean_p(forget)
+                        + cfg.preserve_weight * u_lse))
+    dp = (-_reference_pair_mean(n, partners) / tau + d_r / tau
+          + scale * (-cfg.negpair_weight * _reference_pair_mean(n, negpairs)
+                     + cfg.forget_weight * _reference_pair_mean(n, forget)
+                     + cfg.preserve_weight * d_u / tau))
+    return value, (dp + dp.T) @ z
+
+
+class TestLossReference:
+    """The loss layer against a plain numpy reference with explicit masks."""
+
+    @staticmethod
+    def _assert_close(got, want):
+        (value, grad), (ref_value, ref_grad) = got, want
+        assert abs(value - ref_value) <= 1e-12 * abs(ref_value)
+        assert np.linalg.norm(grad - ref_grad) <= 1e-12 * np.linalg.norm(ref_grad)
+
+    @pytest.mark.parametrize("b", [2, 9, 64])
+    def test_info_nce(self, b):
+        z = np.random.default_rng(b).normal(size=(2 * b, 5))
+        self._assert_close(info_nce_with_grads(z, 0.5), _reference_info_nce(z, 0.5))
+
+    @pytest.mark.parametrize("scale", [0.0, 0.3])
+    def test_ac_stack(self, scale):
+        from unlearnlab.unlearn import ACConfig, ac_stack_loss_fn
+
+        cfg = ACConfig(negpair_weight=1.5, forget_weight=4.0, preserve_weight=0.5,
+                       temperature=0.4)
+        z = np.random.default_rng(7).normal(size=(2 * 12 + 2 * 4, 5))
+        self._assert_close(ac_stack_loss_fn(12, 4, cfg, scale)(z),
+                           _reference_ac(z, 12, 4, cfg, scale))
 
 
 def unit_stack(rng, n, d=16):

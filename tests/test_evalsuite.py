@@ -29,7 +29,6 @@ from unlearnlab.evalsuite import (
     fit_threshold,
     forgetting_score,
     forgetting_score_from_features,
-    full_report,
     gap_report,
     linear_probe,
     mi_alignment_scores,
@@ -526,8 +525,8 @@ class TestFullReport:
         splits = split(data, 0.15, 0.2, 0.0, seed=4)
         cfg = ContrastiveConfig(epochs=5, seed=4, batch_size=32)
         enc = pretrain(data, splits, cfg, [8, 8, 4], AugmentorConfig())
-        rep = full_report(enc, enc, data, splits, AugmentorConfig(),
-                          ProbeConfig(epochs=15, seed=0), seed=4)
+        rep = evaluate({"c": enc}, enc, data, splits, AugmentorConfig(),
+                       ProbeConfig(epochs=15, seed=0), seed=4)["c"]
         assert rep.fs == 0.0  # candidate == before
         assert 0.0 <= rep.emia <= 1.0 and 0.0 <= rep.cmia <= 1.0
         for v in (rep.ra, rep.ta, rep.ua):
@@ -576,8 +575,7 @@ class TestEvaluate:
                                        "r": run["encoders"]["retrain"]})
         assert list(reports) == ["c", "r"]
         for name, enc in (("c", run["encoders"]["unlearned"]), ("r", run["encoders"]["retrain"])):
-            single = full_report(enc, run["before"], run["data"], run["splits"], run["aug"],
-                                 run["probe"], run["seed"])
+            single = self._evaluate(run, {"alone": enc})["alone"]
             assert reports[name].metrics() == single.metrics(), name
             assert reports[name].runtime_seconds > 0
 

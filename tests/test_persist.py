@@ -125,7 +125,7 @@ class TestCheckpointBuffers:
             p.write_bytes(bad)
             with pytest.raises(DataFormatError) as exc:
                 load_encoder(p)
-            assert str(exc.value) == message
+            assert str(exc.value) == f"{p}: {message}"
 
     def test_failed_save_keeps_old_checkpoint(self, tmp_path):
         p = tmp_path / "enc.bin"
