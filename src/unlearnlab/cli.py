@@ -331,8 +331,11 @@ def cmd_split(cfg: dict, args) -> int:
     _snapshot(cfg, out, "split")
     data_path = Path(args.data) if args.data else out / "dataset.csv"
     data = load_dataset(_require(data_path, "dataset"))
-    splits = split(data, cfg["split.unlearn_fraction"], cfg["split.test_fraction"],
-                   cfg["split.val_fraction"], cfg["seed"])
+    try:
+        splits = split(data, cfg["split.unlearn_fraction"], cfg["split.test_fraction"],
+                       cfg["split.val_fraction"], cfg["seed"])
+    except ConfigurationError as exc:  # each message opens with the split key's field
+        raise ConfigurationError(f"split.{exc}") from exc
     save_splits(splits, out / "splits.csv")
     print(f"wrote {out / 'splits.csv'} (retain {len(splits.retain)}, unlearn {len(splits.unlearn)}, "
           f"test {len(splits.test)}, validation {len(splits.validation)})")
@@ -364,8 +367,10 @@ def cmd_unlearn(cfg: dict, args) -> int:
     _snapshot(cfg, out, "unlearn")
     data, splits = _load_data_splits(cfg, args)
     enc_path = Path(args.encoder) if args.encoder else out / "encoder.bin"
-    start = load_encoder(_require(enc_path, "encoder checkpoint"))
-    net = run_ac(start, data, splits, _config(cfg, "unlearn"), _config(cfg, "aug"))
+    # the start encoder goes in unnamed, so run_ac can free it once copied
+    # (from Python 3.11 on, a call moves its arguments into the callee)
+    net = run_ac(load_encoder(_require(enc_path, "encoder checkpoint")), data, splits,
+                 _config(cfg, "unlearn"), _config(cfg, "aug"))
     save_encoder(net, out / "unlearned.bin")
     print(f"wrote {out / 'unlearned.bin'} (method {cfg['unlearn.method']})")
     return EXIT_OK
@@ -391,14 +396,14 @@ def cmd_eval(cfg: dict, args) -> int:
     out = _out_dir(cfg)
     _snapshot(cfg, out, "eval")
     data, splits = _load_data_splits(cfg, args)
-    candidate = load_encoder(_require(Path(args.candidate), "candidate checkpoint"))
-    before = load_encoder(_require(Path(args.before), "pre-unlearning checkpoint"))
-    encoders = {"candidate": candidate}
+    encoders = {"candidate": load_encoder(_require(Path(args.candidate), "candidate checkpoint"))}
+    before_path = _require(Path(args.before), "pre-unlearning checkpoint")
     if args.reference:
         encoders["reference"] = load_encoder(
             _require(Path(args.reference), "reference checkpoint"))
-    # one pass: both encoders are scored on the same replayed views
-    reports = evaluate(encoders, before, data, splits, _config(cfg, "aug"),
+    # one pass: both encoders are scored on the same replayed views. before goes
+    # in unnamed, so from Python 3.11 on evaluate frees it once it is used
+    reports = evaluate(encoders, load_encoder(before_path), data, splits, _config(cfg, "aug"),
                        _config(cfg, "probe"), cfg["seed"])
     rep = reports["candidate"]
     _write_report_files(out, "report", rep.metrics())
@@ -487,6 +492,11 @@ def cmd_audit(cfg: dict, args) -> int:
 
 
 def cmd_ttest(args) -> int:
+    for group in "ab":
+        if getattr(args, f"std_{group}") < 0:
+            raise ConfigurationError(f"--std-{group} must be >= 0")
+        if getattr(args, f"n_{group}") < 2:
+            raise ConfigurationError(f"--n-{group} must be >= 2")
     res = welch_ttest(SummaryStats(args.mean_a, args.std_a, args.n_a),
                       SummaryStats(args.mean_b, args.std_b, args.n_b))
     print(f"t={_fmt(res.t_statistic)}")

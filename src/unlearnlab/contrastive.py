@@ -253,8 +253,9 @@ def sgd_epochs(
 ) -> None:
     """SGD with momentum and a cosine schedule over epochs * steps_per_epoch
     steps, in place on net. epoch_steps(epoch) yields one (loss, grads) per
-    step of that epoch; a non-finite loss or gradient raises NumericError
-    naming the epoch and step, before that step writes anything."""
+    step of that epoch, each taken before the next is drawn, so the steps may
+    share one gradient buffer; a non-finite loss or gradient raises
+    NumericError naming the epoch and step, before that step writes anything."""
     opt = OptState(base_lr=lr, momentum=momentum, weight_decay=weight_decay,
                    total_steps=epochs * steps_per_epoch)
     for epoch in range(epochs):
@@ -302,6 +303,7 @@ def pretrain_on_ids(
     if len(ids) < 2:
         raise ConfigurationError("train split needs at least 2 samples")
     loss_fn = info_nce_loss_fn(cfg.temperature)
+    grads = GradSet.like(net)  # every step's backward pass rewrites it
 
     def epoch_steps(epoch):
         perm = seeds.stream_rng(cfg.seed, seeds.SHUFFLE_MAIN, epoch).permutation(ids)
@@ -310,7 +312,7 @@ def pretrain_on_ids(
         for chunk in batch_chunks(perm, cfg.batch_size):
             stack = np.empty((2 * len(chunk), data.dim))
             paired_views_for_ids(data, chunk, aug, cfg.seed, epoch, block, out=stack)
-            yield loss_and_grads(net, stack, loss_fn)
+            yield loss_and_grads(net, stack, loss_fn, grads)
 
     sgd_epochs(net, cfg.epochs, steps_per_epoch(len(ids), cfg.batch_size), cfg.base_lr,
                cfg.momentum, cfg.weight_decay, epoch_steps)

@@ -272,7 +272,7 @@ def _jitter(x: np.ndarray, scale, noise: np.ndarray, drop: np.ndarray,
             cfg: AugmentorConfig, out: np.ndarray) -> np.ndarray:
     """Vector-mode views into out: scale, add noise, zero the dropped
     coordinates.  Arguments broadcast, so one formula serves one sample
-    or a batch."""
+    or a batch; x may be out itself."""
     np.multiply(x, scale, out=out)
     out += cfg.noise_sigma * noise
     if cfg.mask_prob > 0.0:
@@ -280,19 +280,19 @@ def _jitter(x: np.ndarray, scale, noise: np.ndarray, drop: np.ndarray,
     return out
 
 
-def _crop_flip(imgs: np.ndarray, top: np.ndarray, left: np.ndarray,
+def _crop_flip(imgs: np.ndarray, rows: np.ndarray, top: np.ndarray, left: np.ndarray,
                flip: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Image-mode views of m flattened 3x32x32 images into out (m, 3072):
-    the 32x32 window at (top, left) of the image padded by 4 zero pixels,
-    mirrored where flip is set.  Each view is one slice copy of the
-    window's overlap with the image into zeroed rows, so every value is a
-    copied pixel or +0.0."""
-    src = imgs.reshape(-1, 3, 32, 32)
+    """Image-mode views of flattened 3x32x32 images into out (m, 3072):
+    view k is the 32x32 window at (top, left) of image imgs[rows[k]] padded
+    by 4 zero pixels, mirrored where flip is set.  Each view is one slice
+    copy of the window's overlap with the image into zeroed rows, so every
+    value is a copied pixel or +0.0."""
     dst = out.reshape(-1, 3, 32, 32)
     out.fill(0.0)
-    for k, (t, l, f) in enumerate(zip(top.tolist(), left.tolist(), flip.tolist())):
+    for k, (r, t, l, f) in enumerate(zip(rows.tolist(), top.tolist(), left.tolist(),
+                                         flip.tolist())):
         r0, r1, c0, c1 = max(4 - t, 0), min(36 - t, 32), max(4 - l, 0), min(36 - l, 32)
-        win = src[k, :, r0 + t - 4:r1 + t - 4, c0 + l - 4:c1 + l - 4]
+        win = imgs[r].reshape(3, 32, 32)[:, r0 + t - 4:r1 + t - 4, c0 + l - 4:c1 + l - 4]
         if f:
             dst[k, :, r0:r1, 32 - c1:32 - c0] = win[..., ::-1]
         else:
@@ -315,8 +315,8 @@ def augment_views(sample, cfg: AugmentorConfig, n_views: int, rng) -> np.ndarray
     d = _draw_views(rng, cfg, sample.shape[0], (n_views,))
     out = np.empty((n_views, sample.shape[0]))
     if cfg.image_mode:
-        imgs = np.broadcast_to(sample, out.shape)
-        return _crop_flip(imgs, d["offsets"][:, 0], d["offsets"][:, 1], d["flip"], out)
+        return _crop_flip(sample[None], np.zeros(n_views, dtype=np.int64), d["offsets"][:, 0],
+                          d["offsets"][:, 1], d["flip"], out)
     return _jitter(sample, d["scale"][:, None], d["noise"], d["drop"], cfg, out)
 
 
@@ -351,15 +351,18 @@ class ViewBlock:
               or not out.flags.c_contiguous):
             raise ConfigurationError(f"view output must be a C-contiguous float64 "
                                      f"{shape} array")
-        x = self.data.samples[self.data_rows[pos]]
-        d = self.draws
+        # each view reads its dataset row straight into its output row
+        rows, d = self.data_rows[pos], self.draws
         halves = out[:m], out[m:]
         for v, half in enumerate(halves):
             if self.cfg.image_mode:
                 off = d["offsets"][pos, v]
-                _crop_flip(x, off[:, 0], off[:, 1], d["flip"][pos, v], half)
+                _crop_flip(self.data.samples, rows, off[:, 0], off[:, 1], d["flip"][pos, v],
+                           half)
             else:
-                _jitter(x, d["scale"][pos, v][:, None], d["noise"][pos, v],
+                # rows are in range; mode="raise" would gather through a temporary
+                np.take(self.data.samples, rows, axis=0, out=half, mode="clip")
+                _jitter(half, d["scale"][pos, v][:, None], d["noise"][pos, v],
                         d["drop"][pos, v], self.cfg, half)
         return halves
 

@@ -99,6 +99,12 @@ class GradSet:
     weights: list[np.ndarray]
     biases: list[np.ndarray]
 
+    @classmethod
+    def like(cls, net: EncoderNet) -> "GradSet":
+        """An uninitialized gradient set of net's layout."""
+        return cls([np.empty_like(la.w) for la in net.layers],
+                   [np.empty_like(la.b) for la in net.layers])
+
     def arrays(self) -> list[np.ndarray]:
         out = []
         for w, b in zip(self.weights, self.biases):
@@ -211,7 +217,9 @@ def encoder_forward(net: EncoderNet, batch) -> np.ndarray:
     return z
 
 
-def _backward(net: EncoderNet, cache, z: np.ndarray, dfeats: np.ndarray) -> GradSet:
+def _backward(net: EncoderNet, cache, z: np.ndarray, dfeats: np.ndarray,
+              grads: GradSet) -> GradSet:
+    """Write every entry of grads, which matches net's layout."""
     inputs, pre, norms = cache
     if dfeats.shape != z.shape:
         raise ConfigurationError("feature gradient shape does not match features")
@@ -222,9 +230,6 @@ def _backward(net: EncoderNet, cache, z: np.ndarray, dfeats: np.ndarray) -> Grad
     else:
         delta = dfeats
     n_layers = len(net.layers)
-    # every entry is written below, straight into the arrays returned
-    grads = GradSet([np.empty_like(la.w) for la in net.layers],
-                    [np.empty_like(la.b) for la in net.layers])
     for i in range(n_layers - 1, -1, -1):
         # delta holds d loss / d (output of layer i, after any rectifier)
         da = delta * (pre[i] > 0) if i < n_layers - 1 else delta
@@ -235,14 +240,22 @@ def _backward(net: EncoderNet, cache, z: np.ndarray, dfeats: np.ndarray) -> Grad
     return grads
 
 
-def loss_and_grads(net: EncoderNet, batch, loss_fn: LossFn) -> tuple[float, GradSet]:
-    """Evaluate loss_fn on the encoder's features and backprop to parameters."""
+def loss_and_grads(net: EncoderNet, batch, loss_fn: LossFn,
+                   out: GradSet | None = None) -> tuple[float, GradSet]:
+    """Evaluate loss_fn on the encoder's features and backprop to parameters.
+    The gradients are written into out when given (see GradSet.like), so a
+    training loop that passes one buffer allocates no gradient per step;
+    they stay valid until the next call with the same buffer."""
+    if out is None:
+        out = GradSet.like(net)
+    elif [(g.shape, g.dtype) for g in out.arrays()] != [(p.shape, p.dtype)
+                                                        for p in net.param_arrays()]:
+        raise ConfigurationError("gradient buffer does not match network layout")
     z, cache = _forward_cached(net, batch)
     value, dfeats = loss_fn(z)
     value = float(value)
     dfeats = np.asarray(dfeats, dtype=np.float64)
-    grads = _backward(net, cache, z, dfeats)
-    return value, grads
+    return value, _backward(net, cache, z, dfeats, out)
 
 
 def cosine_lr(step: int, total_steps: int, base_lr: float) -> float:

@@ -30,6 +30,7 @@ from .contrastive import sgd_epochs
 from .datagen import AugmentorConfig, LabeledDataset, Splits, augment_views
 from .diffcore import (
     EncoderNet,
+    GradSet,
     LossFn,
     check_sgd_settings,
     encoder_forward,
@@ -465,6 +466,7 @@ def linear_probe(feats, labels, num_classes: int, cfg: ProbeConfig) -> EncoderNe
     if cfg.epochs == 0:
         return head
     starts = range(0, labels.size, cfg.batch_size)
+    grads = GradSet.like(head)  # every step's backward pass rewrites it
 
     def epoch_steps(epoch):
         perm = seeds.stream_rng(cfg.seed, seeds.PROBE_SHUFFLE, epoch).permutation(labels.size)
@@ -473,7 +475,7 @@ def linear_probe(feats, labels, num_classes: int, cfg: ProbeConfig) -> EncoderNe
         for lo in starts:
             hi = lo + cfg.batch_size
             loss_fn = softmax_xent_loss_fn(ep_labels[lo:hi], num_classes)
-            yield loss_and_grads(head, ep_feats[lo:hi], loss_fn)
+            yield loss_and_grads(head, ep_feats[lo:hi], loss_fn, grads)
 
     sgd_epochs(head, cfg.epochs, len(starts), cfg.lr, cfg.momentum, cfg.weight_decay,
                epoch_steps)
@@ -574,6 +576,9 @@ def evaluate(
     t0 = time.perf_counter()
     xs, ys = paired_unlearn_views(data, splits.unlearn, aug, seed)
     bx, by = encoder_forward(before, xs), encoder_forward(before, ys)
+    # from Python 3.11 on, a call moves its arguments into the callee, so a
+    # before passed inline is freed here; on 3.10 the caller's stack keeps it
+    del before
     attack_ids = _attack_sets(splits, seed)
     mi_views = [_mi_views(data, ids, aug, seed) for ids in attack_ids]
     # the member sample is a forward batch of its own: as rows of the retain

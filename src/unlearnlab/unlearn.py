@@ -50,6 +50,7 @@ from .datagen import (
 )
 from .diffcore import (
     EncoderNet,
+    GradSet,
     LossFn,
     check_sgd_settings,
     encoder_forward,
@@ -259,8 +260,10 @@ def _step_loss(net: EncoderNet, cfg: ACConfig, splits: Splits, side_width: int):
     """The step of cfg.method, and whether it uses a window of unlearn ids.
     The step maps a stack and the row count of its chunk's views, which
     come first, to the loss and gradients of net; the window's views, when
-    used, fill the rest of the stack."""
+    used, fill the rest of the stack. Every step rewrites the same
+    gradient set, so each step's gradients are valid until the next."""
     nce = info_nce_loss_fn(cfg.temperature, allow_singleton=True)
+    grads = GradSet.like(net)
     if cfg.method == "ac":
         scale = (float(splits.unlearn_retain_ratio()) if cfg.unlearn_scale is None
                  else cfg.unlearn_scale)
@@ -272,32 +275,32 @@ def _step_loss(net: EncoderNet, cfg: ACConfig, splits: Splits, side_width: int):
                 fn = fns.get(rows)
                 if fn is None:
                     fn = fns[rows] = ac_stack_loss_fn(rows // 2, side_width, cfg, scale, work)
-                return loss_and_grads(net, stack, fn)
+                return loss_and_grads(net, stack, fn, grads)
 
             return calibrate, True
     if cfg.method == "neggrad":
+        side_grads = GradSet.like(net)  # the unlearn half's, beside the retain half's
+
         def neggrad(stack, rows):
-            loss_r, grads = loss_and_grads(net, stack[:rows], nce)
-            loss_u, g_u = loss_and_grads(net, stack[rows:], nce)
-            grads.axpy(-cfg.ascent_weight, g_u)
-            return loss_r - cfg.ascent_weight * loss_u, grads
+            loss_r, g_r = loss_and_grads(net, stack[:rows], nce, grads)
+            loss_u, g_u = loss_and_grads(net, stack[rows:], nce, side_grads)
+            return loss_r - cfg.ascent_weight * loss_u, g_r.axpy(-cfg.ascent_weight, g_u)
 
         return neggrad, True
     if cfg.method == "gradascent":
         def ascend(stack, rows):
-            loss, grads = loss_and_grads(net, stack, nce)
-            grads.scale(-1.0)
-            return loss, grads
+            loss, g = loss_and_grads(net, stack, nce, grads)
+            return loss, g.scale(-1.0)
 
         return ascend, False
     if cfg.method == "l1sparsity" and cfg.l1_coeff > 0.0:
         def sparsify(stack, rows):
-            loss, grads = loss_and_grads(net, stack, nce)
-            return loss + _add_l1_subgradient(net, grads, cfg.l1_coeff), grads
+            loss, g = loss_and_grads(net, stack, nce, grads)
+            return loss + _add_l1_subgradient(net, g, cfg.l1_coeff), g
 
         return sparsify, False
     # retain-only descent: finetune, or ac or l1sparsity at zero strength
-    return (lambda stack, rows: loss_and_grads(net, stack, nce)), False
+    return (lambda stack, rows: loss_and_grads(net, stack, nce, grads)), False
 
 
 def run_ac(
@@ -313,6 +316,9 @@ def run_ac(
     each step.  At unlearn_scale == 0, ac is exactly finetune, sample for
     sample and bit for bit."""
     net = enc.copy()
+    # from Python 3.11 on, a call moves its arguments into the callee, so a
+    # start encoder passed inline is freed here; on 3.10 the caller keeps it
+    del enc
     if cfg.epochs == 0:
         return net
     if data.dim != net.input_dim:

@@ -4,6 +4,7 @@ import errno
 import re
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +22,7 @@ from unlearnlab.cli import (
     main,
     resolve_config,
 )
-from unlearnlab import cli, evalsuite
+from unlearnlab import cli, evalsuite, unlearn
 from unlearnlab.datagen import load_splits
 from unlearnlab.persist import load_encoder, save_encoder, write_feature_dump
 
@@ -436,7 +437,8 @@ def _stage_fault(fault, cfg, run, inp, out):
         return gen + ["data.source=cifar10", "--set", f"data.path={path}"], str(path)
     if fault == "zero_unlearn_fraction":
         return (["split", "--out", str(out), "--data", str(run / "dataset.csv"),
-                 "--set", "split.unlearn_fraction=0"], "unlearn_fraction")
+                 "--set", "split.unlearn_fraction=0"],
+                "split.unlearn_fraction must be in (0, 1)")
     if fault == "empty_grid":
         return sweep + ["--set", "sweep.forget_weights=,"], "sweep.forget_weights"
     if fault == "duplicate_grid":
@@ -462,9 +464,9 @@ def _stage_fault(fault, cfg, run, inp, out):
                                        "report_empty": ""}[fault])
         return report + ["--candidate", str(path)], str(path)
     if fault == "negative_std":
-        return ttest + ["--std-a", "-1", "--n-a", "5"], "std must be >= 0"
+        return ttest + ["--std-a", "-1", "--n-a", "5"], "--std-a must be >= 0"
     if fault == "single_sample":
-        return ttest + ["--std-a", "1", "--n-a", "1"], "n >= 2"
+        return ttest + ["--std-a", "1", "--n-a", "1"], "--n-a must be >= 2"
     if fault == "missing_dump":
         path = inp / "absent.csv"
         return audit + [str(path)], str(path)
@@ -539,6 +541,52 @@ class TestProbeForwards:
         sizes = sorted([len(splits.retain), len(splits.test), len(splits.unlearn)])
         assert sorted(rows["encoder"]) == sizes
         assert sorted(rows["head"]) == sizes
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11),
+                    reason="before Python 3.11 the caller's stack keeps a call's arguments "
+                           "alive until it returns")
+class TestCheckpointLifetimes:
+    """unlearn frees its start checkpoint before training, and eval frees the
+    pre-unlearning checkpoint before scoring; the scored ones stay."""
+
+    @staticmethod
+    def _loads(monkeypatch) -> dict:
+        """Checkpoint file name -> weak reference to the encoder loaded from it."""
+        refs, real = {}, cli.load_encoder
+
+        def load(path):
+            enc = real(path)
+            refs[Path(path).name] = weakref.ref(enc)
+            return enc
+
+        monkeypatch.setattr(cli, "load_encoder", load)
+        return refs
+
+    @staticmethod
+    def _spy(monkeypatch, module, name, refs, seen):
+        real = getattr(module, name)
+
+        def spy(*args):
+            seen.append(sorted(k for k, r in refs.items() if r() is not None))
+            return real(*args)
+
+        monkeypatch.setattr(module, name, spy)
+
+    def test_unlearn(self, eval_inputs, tmp_path, monkeypatch):
+        cfg, run = eval_inputs
+        refs, seen = self._loads(monkeypatch), []
+        self._spy(monkeypatch, unlearn, "sgd_epochs", refs, seen)
+        argv = stage_argv("unlearn", cfg, run, tmp_path, encoder=run / "encoder.bin")
+        assert main(argv) == EXIT_OK
+        assert seen == [[]]
+
+    def test_eval(self, eval_inputs, tmp_path, monkeypatch):
+        cfg, run = eval_inputs
+        refs, seen = self._loads(monkeypatch), []
+        self._spy(monkeypatch, evalsuite, "probe_logits", refs, seen)
+        assert main(eval_argv(cfg, run, tmp_path, reference=run / "retrain.bin")) == EXIT_OK
+        assert seen == [["retrain.bin", "unlearned.bin"]] * 2
 
 
 class TestAtomicArtifacts:

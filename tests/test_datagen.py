@@ -320,7 +320,7 @@ class TestCropFlip:
     def _check(self, imgs):
         top, left, flip = (np.array(c) for c in zip(*self.OFFSETS))
         out = np.full((len(self.OFFSETS), 3072), np.nan)  # every value is written
-        got = datagen._crop_flip(imgs, top, left, flip, out)
+        got = datagen._crop_flip(imgs, np.arange(len(imgs)), top, left, flip, out)
         assert got is out
         for k, (t, l, f) in enumerate(self.OFFSETS):
             assert out[k].tobytes() == _reference_crop(imgs[k], t, l, f).tobytes()

@@ -258,6 +258,28 @@ class TestGradientBuffers:
             assert np.array_equal(a, k)
             assert not np.array_equal(a, b)
 
+    @pytest.mark.parametrize("normalize", [True, False])
+    def test_out_is_written_whole_and_bitwise_fresh(self, normalize):
+        net = init_encoder([4, 6, 3], seed=2, normalize_output=normalize)
+        rng = np.random.default_rng(3)
+        x, w = rng.normal(size=(5, 4)), rng.normal(size=(5, 3))
+        fn = lambda z: (float(np.sum(w * z * z)), 2.0 * w * z)
+        out = GradSet.like(net)
+        for a in out.arrays():
+            a.fill(np.nan)  # any entry left unwritten stays NaN
+        value, got = loss_and_grads(net, x, fn, out=out)
+        want_value, want = loss_and_grads(net, x, fn)
+        assert got is out and value == want_value
+        for a, b in zip(got.arrays(), want.arrays()):
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("dims", [[4, 6, 2], [4, 5, 3], [4, 3]])
+    def test_mismatched_out_rejected(self, dims):
+        net = init_encoder([4, 6, 3], seed=0)
+        with pytest.raises(ConfigurationError, match="gradient buffer"):
+            loss_and_grads(net, np.ones((2, 4)), lambda z: (0.0, np.zeros_like(z)),
+                           out=GradSet.like(init_encoder(dims, seed=0)))
+
 
 class TestNoFullSizeTemporaries:
     """numpy reports its buffers to tracemalloc, so the traced peak shows

@@ -406,8 +406,10 @@ def _reference_pretrain(data, ids, cfg, arch, aug):
 
 def _reference_unlearn(start, data, splits, aug, cfg, method, coeff=None):
     """Plain-loop unlearning by `method`: AC at scale `coeff`, neggrad with
-    ascent weight `coeff`, l1sparsity with L1 coefficient `coeff`, or
-    gradascent, which steps up the InfoNCE gradient of the unlearn set."""
+    ascent weight `coeff`, l1sparsity with L1 coefficient `coeff`,
+    gradascent, which steps up the InfoNCE gradient of the unlearn set, or
+    finetune, which steps down the retain set's. Every step's gradients are
+    fresh arrays."""
     net = start.copy()
     ascent_only = method == "gradascent"
     drive, batch = ((splits.unlearn, cfg.unlearn_batch) if ascent_only
@@ -433,7 +435,7 @@ def _reference_unlearn(start, data, splits, aug, cfg, method, coeff=None):
                 _, grads = loss_and_grads(net, views(chunk), nce)
                 if ascent_only:
                     grads.scale(-1.0)
-                else:
+                elif method == "l1sparsity":
                     for p, g in zip(net.param_arrays(), grads.arrays()):
                         g += coeff * np.sign(p)
             sgd_momentum_step(net, grads, opt)
@@ -477,3 +479,12 @@ class TestImageModeTraining:
         got = run_ac(start, data, splits, m, aug)
         assert got.layers[0].w.tobytes() != start.layers[0].w.tobytes()
         self._same(got, _reference_unlearn(start, data, splits, aug, m, name, coeff))
+
+    def test_finetune(self):
+        data, splits, aug = _image_problem()
+        start = init_encoder([3072, 8, 4], seed=(1, seeds.NET_INIT))
+        m = ACConfig(method="finetune", epochs=2, lr=0.05, retain_batch=8, unlearn_batch=4,
+                     seed=4)
+        got = run_ac(start, data, splits, m, aug)
+        assert got.layers[0].w.tobytes() != start.layers[0].w.tobytes()
+        self._same(got, _reference_unlearn(start, data, splits, aug, m, "finetune"))
