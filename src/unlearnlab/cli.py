@@ -154,9 +154,12 @@ def _parse_value(key: str, text: str):
         raise ConfigurationError(f"{key}: expected a boolean, got {text!r}")
     if isinstance(default, int):
         try:
-            return int(text)
+            val = int(text)
         except ValueError:
             raise ConfigurationError(f"{key}: expected an integer, got {text!r}")
+        if key == "seed" and val < 0:  # numpy's generators take no negative seed
+            raise ConfigurationError(f"{key}: expected a non-negative integer, got {text!r}")
+        return val
     if isinstance(default, float):
         return _finite(key, text)
     if key in _NUMERIC_TEXT:

@@ -16,11 +16,11 @@ draw lead shape (n_views,) from a generator per id, so a data owner can
 replay them from (seed, id) alone.
 
 Datasets are stored as `id,label,dim0,...` CSV; the reader parses the
-body with one np.loadtxt call (see persist), and the written bytes are
-those of the csv module with `%.17g` floats.  The CSV is the source of
-truth; the writer also leaves a binary copy of the arrays beside it, which
-the reader uses instead of parsing only when the copy's digest matches the
-CSV's bytes.
+body with one np.loadtxt call and the writer is persist's row writer, so
+the written bytes are those of the csv module with `%.17g` floats.  The
+CSV is the source of truth; the writer also leaves a binary copy of the
+arrays beside it, which the reader uses instead of parsing only when the
+copy's digest matches the CSV's bytes.
 """
 
 from __future__ import annotations
@@ -35,8 +35,8 @@ import numpy as np
 
 from . import seeds
 from .errors import ConfigurationError, DataFormatError
-from .persist import (_read_id_rows, atomic_write, file_digest, load_dataset_copy,
-                      save_dataset_copy)
+from .persist import (_read_id_rows, _write_id_rows, atomic_write, file_digest,
+                      load_dataset_copy, save_dataset_copy)
 
 CIFAR_RECORD_BYTES = 3073
 CIFAR_PIXELS = 3072
@@ -424,15 +424,12 @@ def paired_views_for_ids(
 
 def save_dataset(data: LabeledDataset, path: str) -> None:
     """Write `id,label,dim0,...` CSV with the csv module's `\\r\\n` line
-    ends, each row made by one %-template; %.17g round-trips float64.
+    ends and `%.17g` floats, which round-trip float64 (see _write_id_rows).
     Then write the binary copy `<path>.bin`, keyed by the CSV's digest.
     Each file is replaced whole, the CSV first: a crash between the two
     leaves an old or no copy, whose digest the new CSV does not match."""
-    row = "%d,%d" + ",%.17g" * data.dim + "\r\n"
-    with atomic_write(path, "w", newline="") as f:
-        f.write(",".join(["id", "label"] + [f"dim{j}" for j in range(data.dim)]) + "\r\n")
-        f.writelines(row % (i, y, *x.tolist())
-                     for i, y, x in zip(data.ids.tolist(), data.labels.tolist(), data.samples))
+    header = ",".join(["id", "label"] + [f"dim{j}" for j in range(data.dim)])
+    _write_id_rows(path, header, [data.ids, data.labels], data.samples, b"\r\n")
     save_dataset_copy(_copy_path(path), file_digest(path), data.ids, data.labels, data.samples)
 
 
@@ -499,36 +496,49 @@ def save_splits(splits: Splits, path: str) -> None:
 
 
 def load_splits(path: str) -> Splits:
+    """Read `id,part` CSV. The rows are parsed in one pass into int64 ids
+    and part codes; a bad row (not two fields, an unknown part, an id that
+    is not an int64 or that repeats) is named with its line by a rescan."""
     if not os.path.isfile(path):
         raise DataFormatError(f"{path}: no such file")
-    buckets: dict[str, list[int]] = {p: [] for p in _SPLIT_PARTS}
+    code = {p: k for k, p in enumerate(_SPLIT_PARTS)}
+    with open(path, newline="", errors="replace") as f:
+        reader = csv.reader(f)
+        if next(reader, None) != ["id", "part"]:
+            raise DataFormatError(f"{path}: expected 'id,part' header")
+        try:
+            rows = np.fromiter(((int(i), code[p]) for i, p in reader),
+                               dtype=[("id", np.int64), ("part", np.int8)])
+        except (ValueError, KeyError, OverflowError):
+            raise _bad_split_row(path) from None
+    if len(np.unique(rows["id"])) != len(rows):
+        raise _bad_split_row(path)
+    retain, unlearn, test, validation = (rows["id"][rows["part"] == k]
+                                         for k in range(len(_SPLIT_PARTS)))
+    try:
+        return Splits(train=np.concatenate([retain, unlearn]), retain=retain,
+                      unlearn=unlearn, test=test, validation=validation)
+    except ConfigurationError as e:
+        raise DataFormatError(f"{path}: {e}") from None
+
+
+def _bad_split_row(path: str) -> DataFormatError:
+    """The error of load_splits: rescan path for the first row (line 2 on)
+    that is malformed, out of int64 range or a repeat of an earlier id."""
     line_of: dict[int, int] = {}
     with open(path, newline="", errors="replace") as f:
         reader = csv.reader(f)
-        header = next(reader, None)
-        if header != ["id", "part"]:
-            raise DataFormatError(f"{path}: expected 'id,part' header")
+        next(reader)
         for lineno, row in enumerate(reader, start=2):
-            if len(row) != 2 or row[1] not in buckets:
-                raise DataFormatError(f"{path}:{lineno}: bad split row {row!r}")
+            if len(row) != 2 or row[1] not in _SPLIT_PARTS:
+                return DataFormatError(f"{path}:{lineno}: bad split row {row!r}")
             try:
                 sid = int(row[0])
             except ValueError:
-                raise DataFormatError(f"{path}:{lineno}: bad id {row[0]!r}") from None
+                return DataFormatError(f"{path}:{lineno}: bad id {row[0]!r}")
             if not _INT64.min <= sid <= _INT64.max:
-                raise DataFormatError(f"{path}:{lineno}: id {sid} is outside int64")
+                return DataFormatError(f"{path}:{lineno}: id {sid} is outside int64")
             if sid in line_of:
-                raise DataFormatError(f"{path}:{lineno}: id {sid} repeats line {line_of[sid]}")
+                return DataFormatError(f"{path}:{lineno}: id {sid} repeats line {line_of[sid]}")
             line_of[sid] = lineno
-            buckets[row[1]].append(sid)
-    train = np.array(sorted(buckets["retain"] + buckets["unlearn"]), dtype=np.int64)
-    try:
-        return Splits(
-            train=train,
-            retain=np.array(buckets["retain"], dtype=np.int64),
-            unlearn=np.array(buckets["unlearn"], dtype=np.int64),
-            test=np.array(buckets["test"], dtype=np.int64),
-            validation=np.array(buckets["validation"], dtype=np.int64),
-        )
-    except ConfigurationError as e:
-        raise DataFormatError(f"{path}: {e}") from None
+    return DataFormatError(f"{path}: changed while it was read")

@@ -25,9 +25,9 @@ NORM_FLOOR = 1e-12
 # LossFn: features (n, d) -> (scalar value, gradient w.r.t. features)
 LossFn = Callable[[np.ndarray], tuple[float, np.ndarray]]
 
-# float64 elements per block of the momentum update (256 KiB): a block of
-# the parameter, gradient, buffer and scratch stays in L2 cache.
-_OPT_BLOCK = 1 << 15
+# float64 elements per block of an elementwise pass over parameter-sized
+# arrays (256 KiB): a block of each array and the scratch stays in L2 cache.
+_BLOCK = 1 << 15
 
 
 @dataclass
@@ -121,12 +121,37 @@ class GradSet:
         return self
 
     def axpy(self, c: float, other: "GradSet") -> "GradSet":
-        """In place: self += c * other."""
-        for a, o in zip(self.arrays(), other.arrays()):
-            if a.shape != o.shape:
-                raise ConfigurationError("gradient shapes do not match")
-            a += c * o
+        """In place: self += c * other, in blocks through one small scratch
+        array (see _blocks), so no temporary of a gradient's size is made."""
+        pairs = list(zip(self.arrays(), other.arrays()))
+        if any(a.shape != o.shape for a, o in pairs):
+            raise ConfigurationError("gradient shapes do not match")
+        scratch = _scratch(self.arrays())
+        for a, o in pairs:
+            for (ab, ob), work in _blocks((a, o), scratch):
+                np.multiply(c, ob, out=work)
+                ab += work
         return self
+
+
+def _scratch(arrays: Sequence[np.ndarray]) -> np.ndarray:
+    """A float64 work array for _blocks over arrays of these sizes."""
+    return np.empty(min(_BLOCK, max(a.size for a in arrays)))
+
+
+def _blocks(arrays: Sequence[np.ndarray], scratch: np.ndarray):
+    """Aligned blocks of same-shape arrays, each with a view of scratch of
+    the block's shape: runs of at most scratch.size elements when every
+    array is C-contiguous, else the arrays whole with a fresh scratch. An
+    elementwise operation done block by block gives every element the same
+    operations in the same order as a whole-array one, so the same bits."""
+    if not all(a.flags.c_contiguous for a in arrays):
+        yield list(arrays), np.empty_like(arrays[0])  # no flat views to block over
+        return
+    flat = [a.reshape(-1) for a in arrays]
+    for lo in range(0, flat[0].size, scratch.size):
+        hi = min(lo + scratch.size, flat[0].size)
+        yield [a[lo:hi] for a in flat], scratch[:hi - lo]
 
 
 @dataclass
@@ -283,10 +308,9 @@ def sgd_momentum_step(net: EncoderNet, grads: GradSet, opt: OptState) -> None:
     param <- param - lr(step)*buffer, then step advances.  Raises
     NumericError, before anything is written, on a non-finite gradient.
 
-    A C-contiguous array is updated in blocks of _OPT_BLOCK elements, so
-    its parameter, gradient and buffer are each read once and no temporary
-    of its size is made; every element sees the same operations in the
-    same order as in a whole-array update, so the result is the same."""
+    Each array is updated in blocks (see _blocks), so its parameter,
+    gradient and buffer are each read once and no temporary of its size is
+    made."""
     params = net.param_arrays()
     garrs = grads.arrays()
     if len(params) != len(garrs):
@@ -300,16 +324,10 @@ def sgd_momentum_step(net: EncoderNet, grads: GradSet, opt: OptState) -> None:
         opt.buffers = [np.zeros_like(p) for p in params]
     lr = cosine_lr(opt.step, opt.total_steps, opt.base_lr)
     hyper = (opt.momentum, opt.weight_decay, lr)
-    scratch = np.empty(min(_OPT_BLOCK, max(p.size for p in params)))
-    for p, g, buf in zip(params, garrs, opt.buffers):
-        if not (p.flags.c_contiguous and g.flags.c_contiguous and buf.flags.c_contiguous):
-            # no flat views to block over: update the array whole
-            _momentum_update(p, g, buf, np.empty_like(p), *hyper)
-            continue
-        p, g, buf = p.reshape(-1), g.reshape(-1), buf.reshape(-1)
-        for lo in range(0, p.size, _OPT_BLOCK):
-            hi = min(lo + _OPT_BLOCK, p.size)
-            _momentum_update(p[lo:hi], g[lo:hi], buf[lo:hi], scratch[:hi - lo], *hyper)
+    scratch = _scratch(params)
+    for arrays in zip(params, garrs, opt.buffers):
+        for (p, g, buf), work in _blocks(arrays, scratch):
+            _momentum_update(p, g, buf, work, *hyper)
     opt.step += 1
 
 

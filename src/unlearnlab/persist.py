@@ -5,10 +5,13 @@ bit-exact. Everything human-facing (features, alignment matrices) goes
 through CSV with full-precision floats; heatmaps render to 8-bit PGM so
 they can be eyeballed without plotting libraries.
 
-The CSV writers format each row with one %-template of `%d` and `%.17g`
-fields, byte for byte what a per-value `%.17g` writer gives. The readers
-(here and in datagen) parse a whole body with one np.loadtxt call and
-rescan the text line by line only to name the first bad line.
+Every CSV writer (here and in datagen) goes through one row writer,
+_write_id_rows: integer columns, then float64 values as `%.17g`, byte for
+byte what a per-value `%.17g` writer gives. It formats blocks of values
+at once with a numpy kernel (_format_slots) and leaves only the rows
+holding a value the kernel cannot place to a per-row %-template. The
+readers parse a whole body with one np.loadtxt call and rescan the text
+line by line only to name the first bad line.
 
 A dataset CSV may have a binary copy of its arrays beside it, keyed by
 the digest of the CSV's bytes, so that a reader can skip the parse when
@@ -217,15 +220,255 @@ def _decode_encoder(blob: np.ndarray) -> EncoderNet:
     return EncoderNet(layers, normalize_output=bool(flags & _FLAG_NORMALIZE))
 
 
-def _write_id_rows(path: PathLike, header: str, ids: Sequence[int],
-                   values: np.ndarray) -> None:
-    """Write the header, then one `id,v0,v1,...` line per row, each made by
-    one %-template; %.17g round-trips every float64 exactly. The file is
-    replaced whole (see atomic_write)."""
-    row = "%d," + ",".join(["%.17g"] * values.shape[1]) + "\n"
-    with atomic_write(path, "w") as f:
-        f.write(header + "\n")
-        f.writelines(row % (i, *v.tolist()) for i, v in zip(ids, values))
+# --- %.17g for float64 blocks ----------------------------------------------
+#
+# Every float the CSV writers emit is `%.17g` text. Python formats one
+# value per call, so _format_slots does a block at once in float64 numpy
+# arithmetic and leaves to the per-row %-template only the values it
+# cannot place exactly. For |v| in [1e-30, 1e30):
+#   1. the decimal exponent E = floor(log10 v) comes from np.log10, checked
+#      where it is near an integer against 10**k held as an unevaluated
+#      (hi, lo) pair of doubles;
+#   2. t = v * 10**(8 - E), in [1e8, 1e9), is formed as hi + lo with
+#      Dekker's error-free product (Dekker 1971), so t's integer part is
+#      the top 9 of the 17 digits and 1e8 * (its fraction) rounds to the
+#      low 8; both are exact integers in float64;
+#   3. the digits come from 2-digit ASCII tables, as in Ryu's digit
+#      generation (Adams 2018), and go into fixed byte positions of a
+#      32-byte slot, with NUL wherever `%g` writes nothing (the sign, the
+#      "0.000" of E in [-4, -1], the point, trailing zeros, `e+XX`);
+#      bytes.translate deletes the NULs.
+# The fraction of step 2 is off by far less than 1e-12, so it is rounded
+# in float64 unless it is within 1e-9 of a half, where the exact value may
+# be a tie that `%.17g` breaks by the round-half-even rule. Such values,
+# those outside the range or subnormal, non-finite values and integers
+# of two or more digits that end in zero take the per-row template. Zeros
+# are placed directly ("0", "-0").
+
+_K0 = -40  # the tables cover exponents [_K0, -_K0]
+# Slot bytes: 0 sign, 1-5 "0.000" (right-aligned), 6 lead digit, 7 point,
+# 8-23 the other 16 digits, 24-27 `e+XX`, 28 the separator `,` (or the
+# line end in a row's last slot), 29-31 NUL.
+_SLOT = 32
+_CHUNK = 4096  # values formatted per call
+
+
+def _pow10_pairs(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """Doubles (h, l) with h the nearest double to 10**k and l the nearest
+    to the remainder 10**k - h, for k in [lo, hi), from exact int ratios."""
+    his, los = [], []
+    for k in range(lo, hi):
+        scale = 10 ** abs(k)
+        h = float(scale) if k >= 0 else 1 / scale  # int / int rounds correctly
+        num, den = h.as_integer_ratio()
+        his.append(h)
+        los.append((scale * den - num) / den if k >= 0 else (den - num * scale) / (den * scale))
+    return np.array(his), np.array(los)
+
+
+def _split26(a):
+    """Dekker's split of a into two halves of at most 26 significant bits."""
+    c = 134217729.0 * a  # 2**27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _exponent_tables():
+    """Slot parts by exponent E (after rounding), indexed by E - _K0: the
+    first 8 bytes ("0.000" prefix only), the last 8 (`e+XX` and the
+    separator), whether the point follows the lead digit (exponent
+    notation and E = 0; for E >= 1 _format_slots moves it, and for E < 0
+    it is in the prefix), and the units digit's index (E in fixed point
+    with E >= 1, else 0)."""
+    exps = np.arange(_K0, -_K0 + 1)
+    fixed = (exps >= -4) & (exps < 17)
+    head = np.zeros((len(exps), 8), np.uint8)
+    tail = np.zeros((len(exps), 8), np.uint8)
+    tail[:, 4] = ord(",")
+    for j, e in enumerate(exps.tolist()):
+        if e < 0 and fixed[j]:
+            head[j, 5 + e:6] = np.frombuffer(b"0." + b"0" * (-1 - e), np.uint8)
+        elif not fixed[j]:
+            tail[j, :4] = np.frombuffer(b"e%+03d" % e, np.uint8)
+    units = np.where(fixed & (exps > 0), exps, 0)
+    return (head.view("<u8").ravel(), tail.view("<u8").ravel(), (exps == 0) | ~fixed,
+            units)
+
+
+def _pair_tables() -> tuple[np.ndarray, np.ndarray]:
+    """Two ASCII bytes per uint16: "%02d" of 0..99, then the same with a
+    trailing zero as NUL (for the last nonzero pair of a number); and the
+    lead digit d followed by NUL (index 2d) or by the point (2d + 1)."""
+    digits = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
+    pairs = np.zeros((2, 10, 10, 2), np.uint8)
+    pairs[..., 0] = digits[:, None]
+    pairs[..., 1] = digits
+    pairs[1, :, 0, 1] = 0
+    pairs[1, 0, 0, 0] = 0
+    lead = np.zeros((10, 2, 2), np.uint8)
+    lead[..., 0] = digits[:, None]
+    lead[:, 1, 1] = ord(".")
+    return pairs.view("<u2").ravel(), lead.view("<u2").ravel()
+
+
+_P10_HI, _P10_LO = _pow10_pairs(_K0, -_K0 + 1)
+_HEAD, _TAIL, _POINT_AFTER_LEAD, _UNITS = _exponent_tables()
+_DIGIT2, _LEAD = _pair_tables()
+
+
+def _at_least_pow10(v: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """v >= 10**k exactly, for doubles v and exponents k in the table."""
+    hi = _P10_HI[k - _K0]
+    return (v > hi) | ((v == hi) & (_P10_LO[k - _K0] <= 0))
+
+
+def _decimal_exponent(v: np.ndarray) -> np.ndarray:
+    """floor(log10 v) exactly, for doubles v in [1e-30, 1e30]: np.log10 is
+    off by less than 1e-14, so only a log10 that close to an integer k
+    needs the exact comparison with 10**k."""
+    log = np.log10(v)
+    e10 = np.floor(log).astype(np.intp)
+    near = np.flatnonzero(np.abs(log - np.round(log)) < 1e-12)
+    if near.size:
+        pow10 = np.round(log[near]).astype(np.intp)
+        e10[near] = pow10 - ~_at_least_pow10(v[near], pow10)
+    return e10
+
+
+def _digits17(v: np.ndarray, e10: np.ndarray):
+    """The 17 significant digits of each v in [10**e10, 10**(e10 + 1)),
+    rounded to nearest, as top (9 digits) and low (8 digits) in float64,
+    and a mask of the values within 1e-9 of a rounding tie, which this
+    rounding may break differently from `%.17g`. Where rounding reaches
+    10**17, top is 1e8 and e10 is raised by one."""
+    # t = v * 10**(8 - e10) as hi + lo, exact up to the table's 2**-106:
+    # Dekker's product of v and the table's hi, plus v times its lo
+    k = 8 - e10 - _K0
+    p10 = _P10_HI[k]
+    vh, vl = _split26(v)
+    ph, pl = _split26(p10)
+    hi = v * p10
+    lo = vh * ph
+    lo -= hi
+    lo += vh * pl
+    lo += vl * ph
+    lo += vl * pl
+    lo += v * _P10_LO[k]
+    del k, p10, vh, vl, ph, pl
+    top = np.floor(hi)
+    # (hi - top) has at most 26 significant bits and 1e8 = 2**8 * 5**8 has
+    # 19, so their product is exact; two-sum keeps the rounding of the sum
+    frac = hi - top
+    frac *= 1e8
+    lo *= 1e8
+    low = frac + lo
+    back = low - frac
+    err = low - back
+    np.subtract(frac, err, out=err)
+    lo -= back
+    err += lo
+    del frac, lo, back
+    below = np.floor(low)
+    low -= below
+    low += err  # the fraction to round, off by far less than 1e-12
+    tie = np.abs(low - 0.5) < 1e-9
+    low = below + (low >= 0.5)
+    carry = np.floor(low / 1e8)  # -1, 0 or 1; the quotient rounds correctly
+    top += carry
+    low -= carry * 1e8
+    over = top >= 1e9  # the digits are 1 and zeros
+    e10 += over
+    top[over] = 1e8
+    return top, low, tie
+
+
+def _pairs_last_first(top: np.ndarray, low: np.ndarray):
+    """(j, pair j) for the 8 two-digit pairs of top's low 8 digits (pairs
+    0-3) and low's 8 (pairs 4-7), as floats, last pair first."""
+    for base, eight in ((4, low), (0, top)):
+        upper = np.floor(eight * 1e-4)  # 1e-4 errs by 5e-17 relative: floor exact
+        for j, four in ((base + 2, eight - upper * 1e4), (base, upper)):
+            two = np.floor(four * 1e-2)
+            yield j + 1, four - two * 100
+            yield j, two
+
+
+def _format_slots(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Lay out `%.17g` of each value of the float64 vector x, then `,`, as
+    the non-NUL bytes of the rows of out, a uint8 (len(x), 32) array.
+    Returns a mask of the values whose slot is not valid and which must be
+    formatted by Python instead."""
+    v = np.abs(x)
+    zero = v == 0
+    placed = ((v >= 1e-30) & (v < 1e30)) | zero
+    v[~placed | zero] = 1.0
+    e10 = _decimal_exponent(v)
+    top, low, tie = _digits17(v, e10)
+    del v
+    placed &= ~tie
+    top[zero] = low[zero] = e10[zero] = 0
+    lead = np.floor(top * 1e-8)  # 1e-8 errs by 2e-17 relative: floor exact
+    top -= lead * 1e8
+    # digits 1-16 as 8 pairs; a pair is written with a trailing zero as
+    # NUL, and a pair after the last nonzero one as NUL NUL
+    halves = out.view("<u2")
+    rest_zero = np.ones(len(x), bool)  # every pair after the current one is 0
+    for j, pair in _pairs_last_first(top, low):
+        pair = pair.astype(np.intp)
+        halves[:, 4 + j] = _DIGIT2[pair + 100 * rest_zero]
+        rest_zero &= pair == 0
+    cls = e10 - _K0
+    head_tail = out.view("<u8")
+    head_tail[:, 0] = _HEAD[cls]
+    head_tail[:, 3] = _TAIL[cls]
+    out[:, 0] = np.signbit(x) * ord("-")
+    halves[:, 3] = _LEAD[lead.astype(np.intp) * 2 + (_POINT_AFTER_LEAD[cls] & ~rest_zero)]
+    # fixed point with 2 to 17 integer digits: digits 1..E move one byte
+    # left, over the point, which follows them unless no digit does; digit
+    # i is at byte 7 + i, and NUL when it is a trailing zero
+    units = _UNITS[cls]
+    wide = np.flatnonzero((units > 0) & placed)
+    for e in np.unique(units[wide]).tolist():
+        rows = wide[units[wide] == e]
+        kept = out[rows, 7 + e:24] != 0  # digits e.. (the units digit on)
+        units_kept = kept.any(1)
+        placed[rows[~units_kept]] = False  # 10, 200, ...: zeros before the point
+        rows, kept = rows[units_kept], kept[units_kept]
+        out[rows, 7:7 + e] = out[rows, 8:8 + e]
+        out[rows, 7 + e] = np.where(kept[:, 1:].any(1), ord("."), 0)
+    return ~placed
+
+
+def _write_id_rows(path: PathLike, header: str, cols: Sequence[Sequence[int]],
+                   values: np.ndarray, newline: bytes = b"\n") -> None:
+    """Write the header, then one `c0,...,v0,v1,...` line per row: the
+    integer columns cols, then the float64 values as `%.17g`, which
+    round-trips every float64 exactly. The bytes are those of a per-row
+    %-template of `%d` and `%.17g` fields, which formats the rows that
+    _format_slots cannot. Rows go out in chunks of about _CHUNK values
+    formatted into one reused array, so no whole file is built in memory.
+    The file is replaced whole (see atomic_write)."""
+    n, width = values.shape
+    prefix = b"%d," * len(cols)
+    template = b",".join([b"%d"] * len(cols) + [b"%.17g"] * width) + newline
+    cols = [np.asarray(c).tolist() for c in cols]
+    step = max(1, _CHUNK // max(width, 1))
+    slots = np.empty((step, width, _SLOT), np.uint8)
+    end = np.frombuffer(newline, np.uint8)
+    with atomic_write(path) as f:
+        f.write(header.encode() + newline)
+        for at in range(0, n, step):
+            block = values[at:at + step]
+            part = slots[:len(block)]
+            redo = _format_slots(block.reshape(-1), part.reshape(-1, _SLOT))
+            redo = redo.reshape(block.shape).any(1) | (width == 0)
+            part[:, width - 1:, 28:28 + len(end)] = end  # no slot when width is 0
+            pieces = []
+            keys = zip(*[c[at:at + step] for c in cols])
+            for key, vals, row, again in zip(keys, block, part, redo):
+                pieces += ([template % (*key, *vals.tolist())] if again
+                           else [prefix % key, row])
+            f.write(b"".join(pieces).translate(None, b"\0"))
 
 
 def _read_id_rows(path: PathLike, start: int, int_cols: Sequence[str], width: int,
@@ -303,7 +546,7 @@ def write_feature_dump(path: PathLike, ids: Sequence[int], feats: np.ndarray) ->
     if not np.all(np.isfinite(feats)):
         raise DataFormatError("refusing to write non-finite feature values")
     header = "id," + ",".join(f"dim{j}" for j in range(feats.shape[1]))
-    _write_id_rows(path, header, ids.tolist(), feats)
+    _write_id_rows(path, header, [ids], feats)
 
 
 def read_feature_dump(path: PathLike) -> tuple[np.ndarray, np.ndarray]:
@@ -333,7 +576,7 @@ def write_matrix_csv(path: PathLike, values: np.ndarray,
     if not np.all(np.isfinite(values)):
         raise DataFormatError("refusing to write non-finite matrix values")
     header = "id," + ",".join(str(int(c)) for c in col_ids)
-    _write_id_rows(path, header, [int(r) for r in row_ids], values)
+    _write_id_rows(path, header, [[int(r) for r in row_ids]], values)
 
 
 def symmetric_range(values: np.ndarray) -> tuple[float, float]:

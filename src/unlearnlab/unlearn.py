@@ -52,6 +52,8 @@ from .diffcore import (
     EncoderNet,
     GradSet,
     LossFn,
+    _blocks,
+    _scratch,
     check_sgd_settings,
     encoder_forward,
     loss_and_grads,
@@ -249,10 +251,17 @@ def _tile_ids(perm: np.ndarray, count: int, width: int) -> list[np.ndarray]:
 
 
 def _add_l1_subgradient(net: EncoderNet, grads, coeff: float) -> float:
+    """grads += coeff * sign(p) for each parameter array p, in blocks
+    through one small scratch array (see diffcore._blocks); returns the
+    penalty coeff * sum |p|, summed block by block."""
     penalty = 0.0
-    for p, g in zip(net.param_arrays(), grads.arrays()):
-        g += coeff * np.sign(p)
-        penalty += float(np.abs(p).sum())
+    params = net.param_arrays()
+    scratch = _scratch(params)
+    for arrays in zip(params, grads.arrays()):
+        for (p, g), work in _blocks(arrays, scratch):
+            np.multiply(coeff, np.sign(p, out=work), out=work)
+            g += work
+            penalty += float(np.abs(p, out=work).sum())
     return coeff * penalty
 
 

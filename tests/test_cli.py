@@ -435,6 +435,12 @@ def _stage_fault(fault, cfg, run, inp, out):
         elif fault == "cifar_bad_label":
             _put(path, b"\0" + _CIFAR_PIXELS + b"\x0a" + _CIFAR_PIXELS)
         return gen + ["data.source=cifar10", "--set", f"data.path={path}"], str(path)
+    if fault == "negative_seed":
+        return gen + ["seed=-1"], "seed: expected a non-negative integer, got '-1'"
+    if fault == "negative_seed_in_file":
+        path = _put(inp / "seed.cfg", "data.count=40\nseed=-3\n")
+        return (["gen-data", "--out", str(out), "--config", str(path)],
+                f"{path}:2: seed: expected a non-negative integer")
     if fault == "zero_unlearn_fraction":
         return (["split", "--out", str(out), "--data", str(run / "dataset.csv"),
                  "--set", "split.unlearn_fraction=0"],
@@ -482,6 +488,8 @@ _STAGE_FAULTS = [
     ("gen-data", "cifar_missing", EXIT_MISSING_INPUT),
     ("gen-data", "cifar_bad_size", EXIT_FORMAT),
     ("gen-data", "cifar_bad_label", EXIT_FORMAT),
+    ("gen-data", "negative_seed", EXIT_CONFIG),
+    ("gen-data", "negative_seed_in_file", EXIT_CONFIG),
     ("split", "zero_unlearn_fraction", EXIT_CONFIG),
     ("sweep", "empty_grid", EXIT_CONFIG),
     ("sweep", "duplicate_grid", EXIT_CONFIG),
@@ -503,7 +511,8 @@ class TestStageExitCodes:
     """gen-data, split, sweep, report, ttest and dump-mode audit. The error
     names the file or key at fault (a diverging run names the non-finite
     step instead); a failed call leaves only its config snapshot, and report,
-    ttest and a grid rejected as the config is read leave nothing at all."""
+    ttest and a grid or seed rejected as the config is read leave nothing
+    at all."""
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("command,fault,code", _STAGE_FAULTS)
@@ -517,7 +526,7 @@ class TestStageExitCodes:
         assert argv[0] == command
         assert main(argv) == code
         assert named in capsys.readouterr().err
-        if command in ("report", "ttest") or fault.endswith("_grid"):
+        if command in ("report", "ttest") or fault.endswith("_grid") or "seed" in fault:
             assert not out.exists()
         else:
             assert sorted(p.name for p in out.iterdir()) == [f"config.{command}.txt"]

@@ -530,6 +530,25 @@ class TestSerialization:
         with pytest.raises(DataFormatError, match=r"sp\.csv:4: id 1 repeats line 2"):
             load_splits(str(p))
 
+    @pytest.mark.parametrize("body, message", [
+        ("0,retain\n1,bogus\n", "3: bad split row ['1', 'bogus']"),
+        ("0,retain\n1,unlearn,x\n", "3: bad split row ['1', 'unlearn', 'x']"),
+        ("0,retain\n\n1,unlearn\n", "3: bad split row []"),
+        ("0,retain\nx1,unlearn\n", "3: bad id 'x1'"),
+        ("1,retain\n1,unlearn\nx,test\n", "3: id 1 repeats line 2"),
+        ("0,retain\n1,unlearn\n-9223372036854775809,test\n",
+         "4: id -9223372036854775809 is outside int64"),
+        ("", " retain and unlearn sets must be non-empty"),
+        ("0,retain\n1,retain\n", " retain and unlearn sets must be non-empty"),
+    ])
+    def test_splits_first_bad_row_named(self, tmp_path, body, message):
+        # the whole-file parse and the line-by-line rescan agree on the row
+        p = tmp_path / "sp.csv"
+        p.write_text("id,part\n" + body)
+        with pytest.raises(DataFormatError) as exc:
+            load_splits(str(p))
+        assert str(exc.value) == f"{p}:{message}"
+
     def test_splits_bad_part_rejected(self, tmp_path):
         p = tmp_path / "sp.csv"
         p.write_text("id,part\n0,retain\n1,bogus\n")

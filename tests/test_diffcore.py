@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from unlearnlab.diffcore import (
-    _OPT_BLOCK,
+    _BLOCK,
     DenseLayer,
     EncoderNet,
     GradSet,
@@ -182,7 +182,7 @@ class TestOptimizer:
 
 
 class TestBlockedMomentum:
-    """The momentum update runs in blocks of _OPT_BLOCK elements; it must
+    """The momentum update runs in blocks of _BLOCK elements; it must
     equal the plain whole-array update bit for bit."""
 
     @staticmethod
@@ -195,8 +195,8 @@ class TestBlockedMomentum:
     def _grads(size, rng):
         return GradSet([rng.normal(size=(1, size))], [rng.normal(size=size)])
 
-    @pytest.mark.parametrize("size", [1, _OPT_BLOCK - 1, _OPT_BLOCK, _OPT_BLOCK + 1,
-                                      3 * _OPT_BLOCK + 5])
+    @pytest.mark.parametrize("size", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1,
+                                      3 * _BLOCK + 5])
     @pytest.mark.parametrize("wd", [0.0, 5e-4])
     def test_equals_unblocked_reference(self, size, wd):
         rng = np.random.default_rng(size)
@@ -216,7 +216,7 @@ class TestBlockedMomentum:
             assert got.tobytes() == want.tobytes()
 
     def test_nan_in_last_block_writes_nothing(self):
-        size = 3 * _OPT_BLOCK + 5
+        size = 3 * _BLOCK + 5
         rng = np.random.default_rng(0)
         net = self._net(size, rng)
         opt = OptState(base_lr=0.1, momentum=0.9, weight_decay=1e-3, total_steps=4)

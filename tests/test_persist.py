@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from unlearnlab import persist
+from unlearnlab.datagen import LabeledDataset, save_dataset
 from unlearnlab.diffcore import DenseLayer, EncoderNet, encoder_forward, init_encoder
 from unlearnlab.errors import DataFormatError
 from unlearnlab.persist import (
@@ -251,12 +252,17 @@ class TestMatrixCsv:
         real = persist.atomic_write
 
         class DiskFullAfterOneRow:
-            def __init__(self, f):
-                self.write = f.write
+            """Writes the header, then the first row of the next write."""
 
-            def writelines(self, lines):
-                self.write(next(iter(lines)))
-                raise OSError(errno.ENOSPC, "No space left on device")
+            def __init__(self, f):
+                self.f, self.calls = f, 0
+
+            def write(self, data):
+                self.calls += 1
+                if self.calls > 1:
+                    self.f.write(data[:data.index(b"\n") + 1])
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                return self.f.write(data)
 
         @contextlib.contextmanager
         def filling(path, *args, **kwargs):
@@ -364,3 +370,125 @@ class TestFileDigest:
         p = tmp_path / "blob"
         p.write_bytes(data)
         assert file_digest(p) == hashlib.sha256(data).digest()
+
+
+def _slot_text(values) -> tuple[bytes, np.ndarray]:
+    """`%.17g,` of each value the kernel places, concatenated, and the mask
+    of the values it leaves to Python; formatted in 65536-value blocks."""
+    parts, redo = [], []
+    for at in range(0, len(values), 1 << 16):
+        block = values[at:at + (1 << 16)]
+        out = np.zeros((len(block), persist._SLOT), np.uint8)
+        again = persist._format_slots(block.copy(), out)
+        parts.append(out[~again].tobytes().translate(None, b"\0"))
+        redo.append(again)
+    return b"".join(parts), np.concatenate(redo)
+
+
+def _bits(rng, n, lo_exp=0, hi_exp=2047):
+    """n doubles with random sign and mantissa and a biased exponent
+    uniform in [lo_exp, hi_exp)."""
+    mant = rng.integers(0, 1 << 52, n, dtype=np.uint64)
+    exp = rng.integers(lo_exp, hi_exp, n).astype(np.uint64)
+    sign = rng.integers(0, 2, n).astype(np.uint64)
+    return ((sign << np.uint64(63)) | (exp << np.uint64(52)) | mant).view(np.float64)
+
+
+_N = 10 ** 6
+_POW10 = np.array([float(f"1e{k}") for k in range(-323, 309)])
+_KERNEL_CASES = {
+    # random bit patterns over every exponent, and over the kernel's range
+    "bits": lambda rng: _bits(rng, _N),
+    "bits_in_range": lambda rng: _bits(rng, _N, 1023 - 100, 1023 + 100),
+    "normal": lambda rng: rng.standard_normal(_N),
+    "normal_milli": lambda rng: rng.standard_normal(_N) * 1e-3,
+    "integers": lambda rng: np.concatenate([
+        rng.integers(-1000, 1000, _N // 2), rng.integers(-2**53, 2**53, _N // 2)]).astype(float),
+    "dyadic": lambda rng: rng.integers(-2**30, 2**30, _N) / 2.0 ** rng.integers(0, 60, _N),
+    "log_uniform": lambda rng: (np.exp(rng.uniform(np.log(1e-40), np.log(1e40), _N))
+                                * rng.choice([-1.0, 1.0], _N)),
+    "cosine_gaps": lambda rng: np.concatenate([
+        1 - np.cos(rng.uniform(0, 1e-3, _N // 2)),
+        np.cos(rng.uniform(0, 3, _N // 2)) - np.cos(rng.uniform(0, 3, _N // 2))]),
+    # exhaustive sets, not random ones
+    "zeros_subnormals_extremes": lambda rng: np.concatenate([
+        [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -2.2250738585072014e-308,
+         2.225073858507201e-308, 1.7976931348623157e308, -1.7976931348623157e308],
+        _bits(rng, _N, 0, 1)]),
+    "powers_of_ten_ulps": lambda rng: np.concatenate([
+        np.nextafter(_POW10, -np.inf), _POW10, np.nextafter(_POW10, np.inf),
+        -_POW10, 3 * _POW10[_POW10 < 1e300]]),
+    # 1 + 2**-k and 1 - 2**-k have k exact decimals: ties at 17 digits for k = 17, 18
+    "halfway": lambda rng: np.concatenate([1 + 2.0 ** -np.arange(1, 64),
+                                           1 - 2.0 ** -np.arange(1, 64)]),
+}
+# cases of the kind of data the lab writes, where the template is rare
+_TYPICAL = ("bits_in_range", "cosine_gaps", "dyadic", "normal", "normal_milli")
+
+
+class TestFloatKernel:
+    """_format_slots against Python's `%.17g`: every value it places must
+    be byte-equal, and every other value is left to the per-row template."""
+
+    @pytest.mark.parametrize("case", sorted(_KERNEL_CASES))
+    def test_matches_python(self, case):
+        values = _KERNEL_CASES[case](np.random.default_rng(sorted(_KERNEL_CASES).index(case)))
+        values = values[np.isfinite(values)]
+        text, redo = _slot_text(values)
+        placed = values[~redo]
+        assert text == (("%.17g," * len(placed)) % tuple(placed.tolist())).encode()
+        if case in _TYPICAL:  # nearly every value is the kernel's
+            assert redo.mean() < 0.05
+
+    def test_fallback_is_taken(self):
+        ties = np.array([1 + 2.0 ** -17, 1 - 2.0 ** -18])  # 1.00000762939453125, ...
+        for case in (ties, np.array([5e-324, 1e-31, 1e31, 1e300]), np.array([10.0, 200.0])):
+            assert _slot_text(case)[1].all()
+        assert not _slot_text(np.array([0.0, -0.0, 1.0, 10.5, 1e16 + 2, 1e-30]))[1].any()
+
+
+def _reference_rows(header, cols, values, newline="\n") -> bytes:
+    """The per-value formula of every CSV writer: ints by str, floats by
+    `%.17g`, one value at a time."""
+    lines = [header] + [",".join([str(int(c)) for c in key] + ["%.17g" % v for v in row])
+                        for key, row in zip(zip(*cols), values)]
+    return (newline.join(lines) + newline).encode()
+
+
+class TestWritersMatchReference:
+    """All three CSV writers are byte-equal to the per-value reference, over
+    several row chunks, with rows the kernel leaves to the template."""
+
+    @staticmethod
+    def _values(rows, width):
+        rng = np.random.default_rng(rows * width)
+        values = rng.standard_normal((rows, width)) * 10.0 ** rng.integers(-6, 6, (rows, 1))
+        values[1, 0] = 1 + 2.0 ** -17  # a tie
+        values[2, -1] = 5e-324
+        values[3, :] = 0.0
+        values[4, 0] = -0.0
+        values[5, 0] = 300.0
+        return values
+
+    @pytest.mark.parametrize("width", [1, 3, 16, 5000])
+    def test_feature_dump(self, tmp_path, width):
+        rows = 3 * 4096 // width + 7
+        values, ids = self._values(rows, width), np.arange(rows) * 7 - 20
+        write_feature_dump(tmp_path / "f.csv", ids, values)
+        header = "id," + ",".join(f"dim{j}" for j in range(width))
+        assert (tmp_path / "f.csv").read_bytes() == _reference_rows(header, [ids], values)
+
+    def test_matrix(self, tmp_path):
+        values = self._values(70, 70)
+        ids = list(range(-3, 67))
+        write_matrix_csv(tmp_path / "m.csv", values, ids, ids)
+        header = "id," + ",".join(map(str, ids))
+        assert (tmp_path / "m.csv").read_bytes() == _reference_rows(header, [ids], values)
+
+    def test_dataset(self, tmp_path):
+        values = self._values(300, 40)
+        ids, labels = np.arange(300) + 2**40, np.arange(300) % 7
+        save_dataset(LabeledDataset(values, labels, ids), str(tmp_path / "d.csv"))
+        header = "id,label," + ",".join(f"dim{j}" for j in range(40))
+        assert (tmp_path / "d.csv").read_bytes() == _reference_rows(
+            header, [ids, labels], values, "\r\n")
