@@ -49,7 +49,6 @@ from .persist import (
     load_encoder,
     read_feature_dump,
     save_encoder,
-    symmetric_range,
     write_feature_dump,
     write_heatmap_pgm,
     write_matrix_csv,
@@ -267,11 +266,10 @@ def _load_data_splits(cfg: dict, args):
     splits_path = Path(args.splits) if args.splits else out / "splits.csv"
     data = load_dataset(_require(data_path, "dataset"))
     splits = load_splits(_require(splits_path, "splits"))
-    ids = np.concatenate([splits.train, splits.test, splits.validation])
-    unknown = ids[~np.isin(ids, data.ids)]
-    if len(unknown):
-        raise DataFormatError(f"{splits_path}: split id {int(unknown[0])} is not in "
-                              f"the dataset {data_path}")
+    _, held = data.locate(splits.ids)
+    if not held.all():
+        raise DataFormatError(f"{splits_path}: split id {int(splits.ids[np.argmin(held)])} "
+                              f"is not in the dataset {data_path}")
     return data, splits
 
 
@@ -461,8 +459,7 @@ def cmd_audit(cfg: dict, args) -> int:
     agm = alignment_gap(alignment_matrix(bx, by, ids, ids),
                         alignment_matrix(ax, ay, ids, ids))
     write_matrix_csv(out / "agm.csv", agm.values, ids, ids)
-    lo, hi = symmetric_range(agm.values)
-    write_heatmap_pgm(out / "agm.pgm", agm.values, lo, hi)
+    write_heatmap_pgm(out / "agm.pgm", agm.values)
     neg = neg_alignment_stats(agm, "full")
     lines = [
         f"fs={_fmt(fs)}",

@@ -190,41 +190,31 @@ def _info_nce_terms(n_pairs: int, pool: slice, exclude, tau: float):
     return add
 
 
-def _check_paired_stack(feats: np.ndarray, allow_singleton: bool) -> int:
-    feats = np.asarray(feats, dtype=np.float64)
-    if feats.ndim != 2 or feats.shape[0] % 2 != 0 or feats.shape[0] == 0:
-        raise ConfigurationError("paired stack must have a positive even row count")
-    b = feats.shape[0] // 2
-    if b == 1 and not allow_singleton:
-        raise ConfigurationError(
-            "a single positive pair has no negatives; pass allow_singleton=True "
-            "to accept the degenerate zero loss"
-        )
-    return b
-
-
 def info_nce_with_grads(
-    feats, temperature: float, allow_singleton: bool = False,
-    work: PairWorkspace | None = None,
+    feats, temperature: float, work: PairWorkspace | None = None,
 ) -> tuple[float, np.ndarray]:
     """Paired-view InfoNCE over a (2B, d) stack: mean over all 2B anchors of
     -s(a, partner)/tau + log sum_{k != a} exp(s(a, k)/tau).  Returns the
     value and its gradient w.r.t. the stack; the pair matrices are built in
-    work when given (see PairTerms)."""
-    b = _check_paired_stack(feats, allow_singleton)
+    work when given (see PairTerms).  A single pair (B = 1) has no
+    negatives, so its loss and gradient are 0."""
+    shape = np.shape(feats)
+    if len(shape) != 2 or shape[0] == 0 or shape[0] % 2 != 0:
+        raise ConfigurationError("paired stack must have a positive even row count")
+    b = shape[0] // 2
     terms = _info_nce_terms(b, slice(0, 2 * b), np.arange(2 * b), temperature)
     return _terms_loss_fn(terms, work=work)(feats)
 
 
-def info_nce_batch(feats, temperature: float, allow_singleton: bool = False) -> float:
-    return info_nce_with_grads(feats, temperature, allow_singleton)[0]
+def info_nce_batch(feats, temperature: float) -> float:
+    return info_nce_with_grads(feats, temperature)[0]
 
 
-def info_nce_loss_fn(temperature: float, allow_singleton: bool = False) -> LossFn:
+def info_nce_loss_fn(temperature: float) -> LossFn:
     """InfoNCE as a loss callable.  Its calls share one PairWorkspace, so
     one closure per training run allocates its pair matrices once."""
     work = PairWorkspace()
-    return lambda z: info_nce_with_grads(z, temperature, allow_singleton, work)
+    return lambda z: info_nce_with_grads(z, temperature, work)
 
 
 def batch_chunks(order: np.ndarray, batch_size: int) -> list[np.ndarray]:
@@ -254,18 +244,24 @@ def sgd_epochs(
     """SGD with momentum and a cosine schedule over epochs * steps_per_epoch
     steps, in place on net. epoch_steps(epoch) yields one (loss, grads) per
     step of that epoch, each taken before the next is drawn, so the steps may
-    share one gradient buffer; a non-finite loss or gradient raises
+    share one gradient buffer. A non-finite loss or gradient, or another
+    NumericError of a step (a row under loss_and_grads' norm floor), raises
     NumericError naming the epoch and step, before that step writes anything."""
     opt = OptState(base_lr=lr, momentum=momentum, weight_decay=weight_decay,
                    total_steps=epochs * steps_per_epoch)
     for epoch in range(epochs):
-        for step, (loss, grads) in enumerate(epoch_steps(epoch)):
-            try:  # the optimizer rejects a non-finite gradient before writing
-                if not np.isfinite(loss):
-                    raise NumericError("non-finite loss")
-                sgd_momentum_step(net, grads, opt)
-            except NumericError as exc:
-                raise NumericError(f"non-finite loss/grads at epoch {epoch} step {step}") from exc
+        step = 0
+        try:
+            for loss, grads in epoch_steps(epoch):
+                try:  # the optimizer rejects a non-finite gradient before writing
+                    if not np.isfinite(loss):
+                        raise NumericError("non-finite loss")
+                    sgd_momentum_step(net, grads, opt)
+                except NumericError as exc:
+                    raise NumericError("non-finite loss/grads") from exc
+                step += 1
+        except NumericError as exc:
+            raise NumericError(f"{exc} at epoch {epoch} step {step}") from exc
 
 
 def pretrain(

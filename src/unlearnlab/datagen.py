@@ -2,7 +2,9 @@
 
 Two data sources: synthetic Gaussian clusters for desk-scale runs, and
 CIFAR-10 binary batches (3073-byte records: label byte then 3x32x32
-pixels).  Augmentation produces the paired "views" that contrastive
+pixels).  A dataset sorts its ids once; that order is the one index from
+ids to rows.  A split is a table of ids, each once with a part code into
+SPLIT_PARTS.  Augmentation produces the paired "views" that contrastive
 training and the audits consume.
 
 Every set of views is built from one draw per kind of randomness, in a
@@ -28,7 +30,6 @@ from __future__ import annotations
 import csv
 import os
 from dataclasses import dataclass
-from fractions import Fraction
 from glob import glob
 
 import numpy as np
@@ -45,7 +46,8 @@ _CIFAR_ID_STRIDE = 100000  # id = file_index * stride + record_index
 
 @dataclass
 class LabeledDataset:
-    """Row-aligned samples, integer labels, and stable unique ids."""
+    """Row-aligned samples, integer labels, and stable unique ids.  The
+    ids' sorted order, computed once, is the one index from ids to rows."""
 
     samples: np.ndarray
     labels: np.ndarray
@@ -60,9 +62,10 @@ class LabeledDataset:
         n = self.samples.shape[0]
         if self.labels.shape != (n,) or self.ids.shape != (n,):
             raise ConfigurationError("labels/ids must align with samples")
-        if len(np.unique(self.ids)) != n:
+        self._order = np.argsort(self.ids, kind="stable")  # row of the k-th smallest id
+        self._sorted_ids = self.ids[self._order]
+        if np.any(self._sorted_ids[1:] == self._sorted_ids[:-1]):
             raise ConfigurationError("sample ids must be unique")
-        self._row_of = {int(i): k for k, i in enumerate(self.ids)}
 
     def __len__(self) -> int:
         return self.samples.shape[0]
@@ -71,12 +74,25 @@ class LabeledDataset:
     def dim(self) -> int:
         return self.samples.shape[1]
 
+    def locate(self, ids) -> tuple[np.ndarray, np.ndarray]:
+        """Each id's rank among the dataset's sorted ids (meaningless where
+        the dataset lacks the id) and whether the dataset holds it."""
+        ids = np.asarray(ids, dtype=np.int64)
+        rank = np.searchsorted(self._sorted_ids, ids)
+        held = rank < len(self)
+        held[held] = self._sorted_ids[rank[held]] == ids[held]
+        return rank, held
+
+    def _ranks(self, ids) -> np.ndarray:  # the ranks of locate, all held
+        rank, held = self.locate(ids)
+        if not held.all():
+            raise ConfigurationError(f"unknown sample id {int(np.asarray(ids)[np.argmin(held)])}")
+        return rank
+
     def rows_for(self, ids) -> np.ndarray:
-        """Row indices for the given ids, in the given order."""
-        try:
-            return np.array([self._row_of[int(i)] for i in ids], dtype=np.int64)
-        except KeyError as e:
-            raise ConfigurationError(f"unknown sample id {e.args[0]}") from None
+        """Row indices for the given ids, in the given order; an unknown id
+        is an error naming the first one."""
+        return self._order[self._ranks(ids)]
 
     def samples_for(self, ids) -> np.ndarray:
         return self.samples[self.rows_for(ids)]
@@ -85,39 +101,39 @@ class LabeledDataset:
         return self.labels[self.rows_for(ids)]
 
 
+# The parts of a split, in the order of their codes in Splits.parts.
+SPLIT_PARTS = ("retain", "unlearn", "test", "validation")
+
+
 @dataclass
 class Splits:
-    """Partition of a dataset by id: train = retain + unlearn, plus held-out
-    test and validation sets.  All arrays are sorted ids."""
+    """Partition of a dataset by id: each id once, with its part code, an
+    index into SPLIT_PARTS.  ids and parts are kept in sorted-id order, and
+    the sorted id arrays retain, unlearn, test and validation, and train =
+    retain + unlearn, are derived from them once."""
 
-    train: np.ndarray
-    retain: np.ndarray
-    unlearn: np.ndarray
-    test: np.ndarray
-    validation: np.ndarray
+    ids: np.ndarray
+    parts: np.ndarray
 
     def __post_init__(self):
-        for name in ("train", "retain", "unlearn", "test", "validation"):
-            arr = np.sort(np.asarray(getattr(self, name), dtype=np.int64))
-            if np.any(arr[1:] == arr[:-1]):
-                raise ConfigurationError(f"{name} lists an id twice")
-            setattr(self, name, arr)
+        ids = np.asarray(self.ids, dtype=np.int64)
+        parts = np.asarray(self.parts, dtype=np.int64)
+        coded = ((parts >= 0) & (parts < len(SPLIT_PARTS))).all()
+        if ids.ndim != 1 or parts.shape != ids.shape or not coded:
+            raise ConfigurationError(f"split needs 1-d ids, each with a part code into "
+                                     f"{SPLIT_PARTS}")
+        order = np.argsort(ids, kind="stable")
+        self.ids, self.parts = ids[order], parts[order].astype(np.int8)
+        repeat = np.flatnonzero(self.ids[1:] == self.ids[:-1])
+        if len(repeat):
+            sid = self.ids[repeat[0]]
+            where = " and ".join(SPLIT_PARTS[k] for k in self.parts[self.ids == sid])
+            raise ConfigurationError(f"id {sid} is listed more than once, in {where}")
+        for code, name in enumerate(SPLIT_PARTS):
+            setattr(self, name, self.ids[self.parts == code])
         if len(self.retain) == 0 or len(self.unlearn) == 0:
             raise ConfigurationError("retain and unlearn sets must be non-empty")
-        merged = np.sort(np.concatenate([self.retain, self.unlearn]))
-        if not np.array_equal(merged, self.train):
-            raise ConfigurationError("retain + unlearn must partition train")
-        if len(np.intersect1d(self.retain, self.unlearn)):
-            raise ConfigurationError("retain and unlearn overlap")
-        held = np.concatenate([self.test, self.validation])
-        if len(np.intersect1d(self.train, held)):
-            raise ConfigurationError("held-out ids overlap the train set")
-        if len(np.intersect1d(self.test, self.validation)):
-            raise ConfigurationError("test and validation overlap")
-
-    def unlearn_retain_ratio(self) -> Fraction:
-        """|unlearn| / |retain| as an exact rational."""
-        return Fraction(len(self.unlearn), len(self.retain))
+        self.train = self.ids[self.parts < 2]  # retain and unlearn come first
 
 
 @dataclass
@@ -254,18 +270,16 @@ def split(
     perm = seeds.stream_rng(seed, seeds.SPLIT).permutation(data.ids)
     n_test = int(round(test_fraction * n))
     n_val = int(round(val_fraction * n))
-    test = perm[:n_test]
-    validation = perm[n_test : n_test + n_val]
-    train = perm[n_test + n_val :]
-    n_unlearn = int(round(unlearn_fraction * len(train)))
-    if n_unlearn < 1 or n_unlearn >= len(train):
+    n_train = n - n_test - n_val
+    n_unlearn = int(round(unlearn_fraction * n_train))
+    if n_unlearn < 1 or n_unlearn >= n_train:
         raise ConfigurationError(
             f"unlearn_fraction {unlearn_fraction} leaves an empty unlearn or retain set"
         )
-    # train is already in random order, so a prefix is a uniform subset
-    unlearn = train[:n_unlearn]
-    retain = train[n_unlearn:]
-    return Splits(train=train, retain=retain, unlearn=unlearn, test=test, validation=validation)
+    # perm is in random order, so each run of it is a uniform subset
+    runs = {"test": n_test, "validation": n_val, "unlearn": n_unlearn,
+            "retain": n_train - n_unlearn}
+    return Splits(perm, np.repeat([SPLIT_PARTS.index(p) for p in runs], list(runs.values())))
 
 
 def _jitter(x: np.ndarray, scale, noise: np.ndarray, drop: np.ndarray,
@@ -322,8 +336,8 @@ def augment_views(sample, cfg: AugmentorConfig, n_views: int, rng) -> np.ndarray
 
 @dataclass(eq=False)
 class ViewBlock:
-    """One epoch's training-view randomness.  Row k belongs to ids[k]
-    (ids sorted) and carries both views of that id: in vector mode
+    """One epoch's training-view randomness.  Row k belongs to the
+    dataset's k-th smallest id and carries both views of it: in vector mode
     scale (n, 2), noise (n, 2, d) and drop (n, 2, d); in image mode
     offsets (n, 2, 2) as (top, left) and flip (n, 2)."""
 
@@ -331,20 +345,14 @@ class ViewBlock:
     cfg: AugmentorConfig
     seed: int
     epoch: int
-    ids: np.ndarray
-    data_rows: np.ndarray
     draws: dict
 
     def pairs(self, ids, out=None) -> tuple[np.ndarray, np.ndarray]:
         """Both views of the given ids, row-aligned with them, written to
         out[:m] (first views) and out[m:] (second views) of a C-contiguous
         float64 (2m, d) array, allocated when out is None."""
-        ids = np.asarray(ids, dtype=np.int64)
-        pos = np.searchsorted(self.ids, ids)
-        found = self.ids[np.minimum(pos, len(self.ids) - 1)] == ids
-        if not found.all():
-            raise ConfigurationError(f"unknown sample id {int(ids[np.argmin(found)])}")
-        m, shape = len(ids), (2 * len(ids), self.data.dim)
+        pos = self.data._ranks(ids)
+        m, shape = len(pos), (2 * len(pos), self.data.dim)
         if out is None:
             out = np.empty(shape)
         elif (out.shape != shape or out.dtype != np.float64
@@ -352,7 +360,7 @@ class ViewBlock:
             raise ConfigurationError(f"view output must be a C-contiguous float64 "
                                      f"{shape} array")
         # each view reads its dataset row straight into its output row
-        rows, d = self.data_rows[pos], self.draws
+        rows, d = self.data._order[pos], self.draws
         halves = out[:m], out[m:]
         for v, half in enumerate(halves):
             if self.cfg.image_mode:
@@ -397,10 +405,9 @@ def draw_view_block(data: LabeledDataset, cfg: AugmentorConfig, seed: int,
     (seed, epoch) from stream_rng(seed, AUGMENT, epoch), with lead shape
     (n, 2).  A vector-mode block holds 18*n*d bytes (float64 noise and a
     bool mask for two views), twice the dataset's own 8*n*d."""
-    order = np.argsort(data.ids, kind="stable")
     rng = seeds.stream_rng(seed, seeds.AUGMENT, epoch)
-    draws = _draw_views(rng, cfg, data.dim, (len(order), 2))
-    return ViewBlock(data, cfg, int(seed), int(epoch), data.ids[order], order, draws)
+    draws = _draw_views(rng, cfg, data.dim, (len(data), 2))
+    return ViewBlock(data, cfg, int(seed), int(epoch), draws)
 
 
 def paired_views_for_ids(
@@ -480,57 +487,46 @@ def load_dataset(path: str) -> LabeledDataset:
         raise DataFormatError(f"{path}: {e}") from None
 
 
-_SPLIT_PARTS = ("retain", "unlearn", "test", "validation")
 _INT64 = np.iinfo(np.int64)
 
 
 def save_splits(splits: Splits, path: str) -> None:
-    pairs = []
-    for part in _SPLIT_PARTS:
-        pairs.extend((int(i), part) for i in getattr(splits, part))
-    pairs.sort()
+    """Write `id,part` CSV, one row per id in sorted-id order."""
     with atomic_write(path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["id", "part"])
-        w.writerows(pairs)
+        w.writerows(zip(splits.ids.tolist(), map(SPLIT_PARTS.__getitem__, splits.parts.tolist())))
 
 
 def load_splits(path: str) -> Splits:
     """Read `id,part` CSV. The rows are parsed in one pass into int64 ids
-    and part codes; a bad row (not two fields, an unknown part, an id that
-    is not an int64 or that repeats) is named with its line by a rescan."""
+    and part codes, which become the Splits; a bad row (not two fields, an
+    unknown part, an id that is not an int64 or that repeats) is named with
+    its line by a rescan."""
     if not os.path.isfile(path):
         raise DataFormatError(f"{path}: no such file")
-    code = {p: k for k, p in enumerate(_SPLIT_PARTS)}
+    code = {p: k for k, p in enumerate(SPLIT_PARTS)}
     with open(path, newline="", errors="replace") as f:
         reader = csv.reader(f)
         if next(reader, None) != ["id", "part"]:
             raise DataFormatError(f"{path}: expected 'id,part' header")
-        try:
+        try:  # a ConfigurationError of Splits is a ValueError too
             rows = np.fromiter(((int(i), code[p]) for i, p in reader),
                                dtype=[("id", np.int64), ("part", np.int8)])
-        except (ValueError, KeyError, OverflowError):
-            raise _bad_split_row(path) from None
-    if len(np.unique(rows["id"])) != len(rows):
-        raise _bad_split_row(path)
-    retain, unlearn, test, validation = (rows["id"][rows["part"] == k]
-                                         for k in range(len(_SPLIT_PARTS)))
-    try:
-        return Splits(train=np.concatenate([retain, unlearn]), retain=retain,
-                      unlearn=unlearn, test=test, validation=validation)
-    except ConfigurationError as e:
-        raise DataFormatError(f"{path}: {e}") from None
+            return Splits(rows["id"], rows["part"])
+        except (ValueError, KeyError, OverflowError) as e:
+            raise _bad_split_row(path) or DataFormatError(f"{path}: {e}") from None
 
 
-def _bad_split_row(path: str) -> DataFormatError:
-    """The error of load_splits: rescan path for the first row (line 2 on)
-    that is malformed, out of int64 range or a repeat of an earlier id."""
+def _bad_split_row(path: str) -> DataFormatError | None:
+    """The error of load_splits for the first row (line 2 on) of path that
+    is malformed, out of int64 range or a repeat of an earlier id, if any."""
     line_of: dict[int, int] = {}
     with open(path, newline="", errors="replace") as f:
         reader = csv.reader(f)
         next(reader)
         for lineno, row in enumerate(reader, start=2):
-            if len(row) != 2 or row[1] not in _SPLIT_PARTS:
+            if len(row) != 2 or row[1] not in SPLIT_PARTS:
                 return DataFormatError(f"{path}:{lineno}: bad split row {row!r}")
             try:
                 sid = int(row[0])
@@ -541,4 +537,3 @@ def _bad_split_row(path: str) -> DataFormatError:
             if sid in line_of:
                 return DataFormatError(f"{path}:{lineno}: id {sid} repeats line {line_of[sid]}")
             line_of[sid] = lineno
-    return DataFormatError(f"{path}: changed while it was read")

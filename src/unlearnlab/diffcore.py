@@ -22,6 +22,10 @@ from .errors import ConfigurationError, NumericError
 # (numerically) zero instead of NaN and the operation stays differentiable.
 NORM_FLOOR = 1e-12
 
+# Smallest pre-normalization row norm a training step accepts. Healthy runs
+# stay above 0.019; a view with all hidden units dead sits at NORM_FLOOR.
+TRAIN_NORM_MIN = 1e-6
+
 # LossFn: features (n, d) -> (scalar value, gradient w.r.t. features)
 LossFn = Callable[[np.ndarray], tuple[float, np.ndarray]]
 
@@ -268,15 +272,21 @@ def _backward(net: EncoderNet, cache, z: np.ndarray, dfeats: np.ndarray,
 def loss_and_grads(net: EncoderNet, batch, loss_fn: LossFn,
                    out: GradSet | None = None) -> tuple[float, GradSet]:
     """Evaluate loss_fn on the encoder's features and backprop to parameters.
-    The gradients are written into out when given (see GradSet.like), so a
-    training loop that passes one buffer allocates no gradient per step;
-    they stay valid until the next call with the same buffer."""
+    A normalized output row whose norm before normalization is under
+    TRAIN_NORM_MIN raises NumericError. The gradients are written into out
+    when given (see GradSet.like), so a training loop that passes one buffer
+    allocates no gradient per step; they stay valid until the next call with
+    the same buffer."""
     if out is None:
         out = GradSet.like(net)
     elif [(g.shape, g.dtype) for g in out.arrays()] != [(p.shape, p.dtype)
                                                         for p in net.param_arrays()]:
         raise ConfigurationError("gradient buffer does not match network layout")
     z, cache = _forward_cached(net, batch)
+    norms = cache[2]
+    if norms is not None and np.any(norms < TRAIN_NORM_MIN):
+        raise NumericError(f"an output row's norm before normalization, {norms.min():.3g}, "
+                           f"is below the training floor {TRAIN_NORM_MIN:g}")
     value, dfeats = loss_fn(z)
     value = float(value)
     dfeats = np.asarray(dfeats, dtype=np.float64)

@@ -271,10 +271,10 @@ def _step_loss(net: EncoderNet, cfg: ACConfig, splits: Splits, side_width: int):
     come first, to the loss and gradients of net; the window's views, when
     used, fill the rest of the stack. Every step rewrites the same
     gradient set, so each step's gradients are valid until the next."""
-    nce = info_nce_loss_fn(cfg.temperature, allow_singleton=True)
+    nce = info_nce_loss_fn(cfg.temperature)
     grads = GradSet.like(net)
     if cfg.method == "ac":
-        scale = (float(splits.unlearn_retain_ratio()) if cfg.unlearn_scale is None
+        scale = (len(splits.unlearn) / len(splits.retain) if cfg.unlearn_scale is None
                  else cfg.unlearn_scale)
         if scale != 0.0:
             fns = {}  # AC loss per chunk length, sharing one workspace

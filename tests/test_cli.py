@@ -33,7 +33,7 @@ TINY = [
     "data.dim=6",
     "data.count=120",
     "data.separation=6",
-    "arch=6,8,4",
+    "arch=6,16,4",
     "split.test_fraction=0.15",
     "pretrain.epochs=2",
     "pretrain.batch_size=32",
@@ -42,6 +42,11 @@ TINY = [
     "unlearn.unlearn_batch=8",
     "probe.epochs=5",
 ]
+
+# TINY with the 6-8-4 encoder it had before training checked the norm floor:
+# a view of its first pretrain step has every hidden unit dead, so its output
+# row is the zero last bias, whose gradient is scaled by 1e12.
+TINY_DEAD_VIEW = [("arch=6,8,4" if line.startswith("arch=") else line) for line in TINY]
 
 
 # Keys read by the dataclass of a config section, and the two keys not
@@ -194,6 +199,18 @@ class TestExitCodes:
         rc = main(["pretrain", "--config", cfg, "--out", str(out),
                    "--set", "pretrain.lr=1e30"])
         assert rc == EXIT_NUMERIC
+
+    def test_dead_view_config_exits_numeric_at_first_step(self, tmp_path, capsys):
+        cfg = tmp_path / "dead.cfg"
+        cfg.write_text("\n".join(TINY_DEAD_VIEW) + "\n")
+        out = tmp_path / "run"
+        for cmd in ("gen-data", "split"):
+            assert main([cmd, "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        capsys.readouterr()
+        assert main(["pretrain", "--config", str(cfg), "--out", str(out)]) == EXIT_NUMERIC
+        err = capsys.readouterr().err.strip()
+        assert "below the training floor" in err and err.endswith("at epoch 0 step 0")
+        assert not (out / "encoder.bin").exists()
 
     def test_method_retrain_redirected(self, tmp_path, capsys):
         cfg = tiny_cfg(tmp_path)
@@ -664,6 +681,19 @@ class TestPipeline:
         assert 0.0 <= float(report["ra"]) <= 100.0
         gaps = (out / "gaps.txt").read_text()
         assert "avg_gap=" in gaps and "agp=" in gaps
+
+    def test_every_method_moves_the_encoder(self, tmp_path):
+        cfg = tiny_cfg(tmp_path)
+        out = tmp_path / "run"
+        for cmd in ("gen-data", "split", "pretrain"):
+            assert main([cmd, "--config", cfg, "--out", str(out)]) == EXIT_OK
+        start = (out / "encoder.bin").read_bytes()
+        for method in unlearn.METHODS:
+            assert main(["unlearn", "--config", cfg, "--out", str(out / method),
+                         "--data", str(out / "dataset.csv"), "--splits", str(out / "splits.csv"),
+                         "--encoder", str(out / "encoder.bin"),
+                         "--set", f"unlearn.method={method}"]) == EXIT_OK
+            assert (out / method / "unlearned.bin").read_bytes() != start, method
 
     def test_reruns_are_byte_identical(self, tmp_path):
         cfg = tiny_cfg(tmp_path)

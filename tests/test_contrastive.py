@@ -45,9 +45,8 @@ class TestInfoNCE:
 
     def test_singleton_pair_is_zero_loss(self):
         z = unit_rows([[1.0, 2.0], [0.5, -1.0]])
-        with pytest.raises(ConfigurationError):
-            info_nce_batch(z, 0.5)
-        loss, dz = info_nce_with_grads(z, 0.5, allow_singleton=True)
+        assert info_nce_batch(z, 0.5) == 0.0
+        loss, dz = info_nce_with_grads(z, 0.5)
         assert loss == 0.0
         np.testing.assert_allclose(dz, 0.0, atol=1e-15)
 

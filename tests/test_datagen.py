@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from unlearnlab import datagen, seeds
 from unlearnlab.datagen import (
+    SPLIT_PARTS,
     AugmentorConfig,
     LabeledDataset,
     Splits,
@@ -113,6 +114,45 @@ class TestCifar:
             load_cifar10(str(tmp_path / "nope.bin"))
 
 
+class TestIdIndex:
+    """LabeledDataset maps ids to rows through its sorted-id order."""
+
+    def _data(self):
+        ids = np.array([40, 7, 19, -3, 25, 1])
+        return LabeledDataset(np.arange(12.0).reshape(6, 2), np.zeros(6, dtype=int), ids)
+
+    def test_rows_keep_the_given_order(self):
+        ds = self._data()
+        want = [2, 0, 5, 3, 2]
+        assert ds.rows_for(ds.ids[want]).tolist() == want
+        assert ds.rows_for(ds.ids[want].tolist()).dtype == np.int64
+        assert ds.samples_for([25, -3]).tolist() == [[8.0, 9.0], [6.0, 7.0]]
+        assert ds.rows_for([]).tolist() == []
+
+    @pytest.mark.parametrize("ids, unknown", [
+        ([7, 8, 100], 8), ([7, 100, 8], 100), ([-4], -4), ([41, 40], 41),
+    ])
+    def test_first_unknown_id_named(self, ids, unknown):
+        with pytest.raises(ConfigurationError, match=f"^unknown sample id {unknown}$"):
+            self._data().rows_for(ids)
+
+    def test_locate_reports_what_it_holds(self):
+        rank, held = self._data().locate([19, 20, 41, -3])
+        assert held.tolist() == [True, False, False, True]
+        assert rank[held].tolist() == [3, 0]
+
+    def test_repeated_id_rejected(self):
+        with pytest.raises(ConfigurationError, match="sample ids must be unique"):
+            LabeledDataset(np.zeros((3, 1)), np.zeros(3, dtype=int), [5, 2, 5])
+
+    def test_view_block_names_the_first_unknown_id(self):
+        ds = self._data()
+        block = draw_view_block(ds, AugmentorConfig(), 0, 0)
+        for ids, unknown in (([7, 8], 8), ([-9, 41], -9), ([41], 41)):
+            with pytest.raises(ConfigurationError, match=f"^unknown sample id {unknown}$"):
+                block.pairs(ids)
+
+
 class TestSplit:
     def test_cifar_style_counts(self):
         ds = LabeledDataset(
@@ -123,9 +163,7 @@ class TestSplit:
         assert len(sp.train) == 45000
         assert len(sp.unlearn) == 4500
         assert len(sp.retain) == 40500
-        from fractions import Fraction
-
-        assert sp.unlearn_retain_ratio() == Fraction(1, 9)
+        assert len(sp.ids) == len(sp.parts) == 50000
 
     def test_deterministic(self):
         ds = gen_synthetic(3, 4, 300, 5.0, seed=0)
@@ -166,21 +204,41 @@ class TestSplit:
             split(ds, 0.1, 0.7, 0.5, seed=0)
 
     def test_splits_constructor_enforces_partition(self):
-        with pytest.raises(ConfigurationError):
-            Splits(
-                train=np.array([1, 2, 3]),
-                retain=np.array([1, 2]),
-                unlearn=np.array([2, 3]),
-                test=np.array([], dtype=int),
-                validation=np.array([], dtype=int),
-            )
+        # 2 is in retain (code 0) and unlearn (code 1)
+        with pytest.raises(ConfigurationError,
+                           match="^id 2 is listed more than once, in retain and unlearn$"):
+            Splits(np.array([3, 2, 1, 2]), np.array([1, 0, 0, 1]))
 
     @pytest.mark.parametrize("part", ["retain", "test"])
     def test_splits_constructor_rejects_repeated_id(self, part):
-        parts = dict(train=[1, 2, 3], retain=[1, 2], unlearn=[3], test=[7, 8], validation=[])
-        parts[part] = parts[part] + parts[part][:1]
-        with pytest.raises(ConfigurationError, match=f"{part} lists an id twice"):
-            Splits(**{k: np.array(v, dtype=np.int64) for k, v in parts.items()})
+        code = SPLIT_PARTS.index(part)
+        ids, parts = [1, 2, 3, 7, 8], [0, 0, 1, 2, 2]
+        first = parts.index(code)
+        ids, parts = ids + [ids[first]], parts + [code]
+        want = f"^id {ids[first]} is listed more than once, in {part} and {part}$"
+        with pytest.raises(ConfigurationError, match=want):
+            Splits(np.array(ids), np.array(parts))
+
+    def test_splits_derives_sorted_parts(self):
+        sp = Splits(np.array([9, 4, 7, 1, 5, 3]), np.array([0, 2, 1, 0, 3, 1]))
+        assert sp.ids.tolist() == [1, 3, 4, 5, 7, 9]
+        assert [SPLIT_PARTS[k] for k in sp.parts] == ["retain", "unlearn", "test", "validation",
+                                                       "unlearn", "retain"]
+        want = {"retain": [1, 9], "unlearn": [3, 7], "test": [4], "validation": [5],
+                "train": [1, 3, 7, 9]}
+        for name, ids in want.items():
+            assert getattr(sp, name).tolist() == ids and getattr(sp, name).dtype == np.int64
+
+    @pytest.mark.parametrize("ids, parts, message", [
+        ([1, 2], [0, 2], "retain and unlearn sets must be non-empty"),
+        ([1, 2], [0, 4], "split needs 1-d ids, each with a part code"),
+        ([1, 2], [0, -1], "split needs 1-d ids, each with a part code"),
+        ([1, 2], [0], "split needs 1-d ids, each with a part code"),
+        ([[1, 2]], [[0, 1]], "split needs 1-d ids, each with a part code"),
+    ])
+    def test_splits_constructor_rejects_bad_table(self, ids, parts, message):
+        with pytest.raises(ConfigurationError, match=message):
+            Splits(np.array(ids), np.array(parts))
 
 
 class TestAugment:

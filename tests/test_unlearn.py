@@ -285,7 +285,7 @@ class TestRuns:
         # replicate: one ascent step over the whole unlearn set
         perm = seeds.stream_rng(3, seeds.SHUFFLE_MAIN, 0).permutation(splits.unlearn)
         ux, uy = paired_views_for_ids(data, perm, AugmentorConfig(), 3, 0)
-        _, grads = loss_and_grads(enc, np.vstack([ux, uy]), info_nce_loss_fn(0.5, True))
+        _, grads = loss_and_grads(enc, np.vstack([ux, uy]), info_nce_loss_fn(0.5))
         lr0 = cosine_lr(0, 1, 0.05)
         for la, gw, la_out in zip(enc.layers, grads.weights, out.layers):
             np.testing.assert_allclose(la_out.w, la.w + lr0 * gw, atol=1e-14)
@@ -300,7 +300,7 @@ class TestRuns:
         uperm = seeds.stream_rng(4, seeds.SHUFFLE_SIDE, 0).permutation(splits.unlearn)
         rx, ry = paired_views_for_ids(data, rperm, AugmentorConfig(), 4, 0)
         ux, uy = paired_views_for_ids(data, uperm[:4], AugmentorConfig(), 4, 0)
-        nce = info_nce_loss_fn(0.5, True)
+        nce = info_nce_loss_fn(0.5)
         _, gr = loss_and_grads(enc, np.vstack([rx, ry]), nce)
         _, gu = loss_and_grads(enc, np.vstack([ux, uy]), nce)
         lr0 = cosine_lr(0, 1, 0.05)
@@ -417,7 +417,7 @@ def _reference_unlearn(start, data, splits, aug, cfg, method, coeff=None):
     width = min(cfg.unlearn_batch, len(splits.unlearn))
     opt = OptState(base_lr=cfg.lr, momentum=cfg.momentum, weight_decay=cfg.weight_decay,
                    total_steps=cfg.epochs * steps_per_epoch(len(drive), batch))
-    nce = info_nce_loss_fn(cfg.temperature, allow_singleton=True)
+    nce = info_nce_loss_fn(cfg.temperature)
     for epoch in range(cfg.epochs):
         views = lambda ids: _reference_views(data, ids, aug, cfg.seed, epoch)
         perm = seeds.stream_rng(cfg.seed, seeds.SHUFFLE_MAIN, epoch).permutation(drive)
