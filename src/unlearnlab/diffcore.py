@@ -33,6 +33,15 @@ LossFn = Callable[[np.ndarray], tuple[float, np.ndarray]]
 # arrays (256 KiB): a block of each array and the scratch stays in L2 cache.
 _BLOCK = 1 << 15
 
+# float64 elements per row block formed of a factored gradient (1 MiB): one
+# product of this size runs near the speed of the whole one, and the block
+# stays in cache while the momentum update reads it.
+_FORM_BLOCK = 1 << 17
+
+# A bound on a factored gradient's entries this far below the float64
+# limit (about 1.8e308) proves them finite whatever the rounding.
+_FINITE_BOUND = 1e300
+
 
 @dataclass
 class DenseLayer:
@@ -96,45 +105,143 @@ class EncoderNet:
         return out
 
 
+class FactoredGrad:
+    """A weight gradient X^T·δ kept as its factors, the layer input X and the
+    output gradient δ: n·(d_in + d_out) floats in place of d_in·d_out.
+
+    It stands for the sum over terms (c, X, δ) of c·X^T·δ, the first term's
+    c being 1, plus coeff·sign(w) when l1 = (coeff, w) is set. blocks()
+    forms it one row block at a time. Row blocks of X^T·δ equal the rows of
+    the whole product bit for bit on the installed BLAS (a test pins this),
+    so every block has the bits the dense gradient would have. The factors
+    are the batch and a backward-pass array, held by reference."""
+
+    dtype = np.dtype(np.float64)
+
+    def __init__(self, x: np.ndarray, delta: np.ndarray):
+        self.terms = [(1.0, x, delta)]
+        self.l1: tuple[float, np.ndarray] | None = None
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        _, x, delta = self.terms[0]
+        return x.shape[1], delta.shape[1]
+
+    def blocks(self):
+        """(r0, block) for row blocks of about _FORM_BLOCK elements (see
+        _row_blocks), all formed in one scratch array, so each is valid
+        until the next is drawn.
+        Each later term goes through a second scratch array as work =
+        c·(its block), block += work, the operations GradSet.axpy applies to
+        a dense gradient; the L1 term is added as GradSet.add_l1 adds it."""
+        extra = len(self.terms) > 1 or self.l1 is not None
+        for r0, r1, (out, *work) in _row_blocks(self.shape, _FORM_BLOCK, 1 + extra):
+            for k, (c, x, delta) in enumerate(self.terms):
+                np.matmul(x[:, r0:r1].T, delta, out=work[0] if k else out)
+                if k:
+                    np.multiply(c, work[0], out=work[0])
+                    out += work[0]
+            if self.l1 is not None:
+                coeff, w = self.l1
+                np.multiply(coeff, np.sign(w[r0:r1], out=work[0]), out=work[0])
+                out += work[0]
+            yield r0, out
+
+    def form(self) -> np.ndarray:
+        """The whole gradient, in a new array."""
+        out = np.empty(self.shape)
+        for r0, block in self.blocks():
+            out[r0:r0 + len(block)] = block
+        return out
+
+    def finite(self) -> bool:
+        """Whether every entry is finite, without forming the gradient when
+        the factors prove it. A non-finite factor makes a whole row or
+        column of its product non-finite. With every factor finite, no
+        entry exceeds sum |c|·n·max|X|·max|δ| (plus the L1 coefficient, with
+        w free of NaN) but for rounding, so a sum far below the float64
+        limit proves them all finite; otherwise each block is formed once
+        and checked."""
+        bound = 0.0
+        for c, x, delta in self.terms:
+            ends = [float(e) for a in (x, delta) for e in (a.min(), a.max())]
+            if not all(math.isfinite(e) for e in ends):
+                return False
+            bound += abs(c) * len(x) * max(-ends[0], ends[1]) * max(-ends[2], ends[3])
+        if self.l1 is not None:
+            bound += abs(self.l1[0]) if not math.isnan(self.l1[1].max()) else math.inf
+        return bound < _FINITE_BOUND or all(np.isfinite(block).all() for _, block in self.blocks())
+
+
 @dataclass
 class GradSet:
-    """Gradients congruent with an EncoderNet's parameters."""
+    """Gradients congruent with an EncoderNet's parameters.
 
-    weights: list[np.ndarray]
+    When a backward pass's first-layer factors hold fewer floats than that
+    layer's weight gradient, n·(d_in + d_out) < d_in·d_out, weights[0] is a
+    FactoredGrad, and its dense array is never made by the optimizer or
+    the gradient transforms (axpy, add_l1); arrays() forms it whole for
+    code that needs it so. Otherwise weights[0] is a dense array, allocated
+    by the first backward pass that needs it. Every other entry is dense."""
+
+    weights: list[np.ndarray | FactoredGrad | None]
     biases: list[np.ndarray]
 
     @classmethod
     def like(cls, net: EncoderNet) -> "GradSet":
-        """An uninitialized gradient set of net's layout."""
-        return cls([np.empty_like(la.w) for la in net.layers],
+        """An uninitialized gradient set of net's layout; the first layer's
+        weight gradient is allocated by the backward pass (see above)."""
+        return cls([None] + [np.empty_like(la.w) for la in net.layers[1:]],
                    [np.empty_like(la.b) for la in net.layers])
 
     def arrays(self) -> list[np.ndarray]:
+        """Every gradient as a whole array, in parameter order (w0, b0, w1,
+        b1, ...); a factored one is formed first, once."""
+        self.weights = [w.form() if isinstance(w, FactoredGrad) else w for w in self.weights]
+        return self._parts()
+
+    def _parts(self) -> list:
         out = []
         for w, b in zip(self.weights, self.biases):
             out.append(w)
             out.append(b)
         return out
 
-    def all_finite(self) -> bool:
-        return all(np.all(np.isfinite(a)) for a in self.arrays())
-
-    def scale(self, c: float) -> "GradSet":
-        for a in self.arrays():
-            a *= c
-        return self
-
     def axpy(self, c: float, other: "GradSet") -> "GradSet":
-        """In place: self += c * other, in blocks through one small scratch
-        array (see _blocks), so no temporary of a gradient's size is made."""
-        pairs = list(zip(self.arrays(), other.arrays()))
-        if any(a.shape != o.shape for a, o in pairs):
+        """In place: self += c * other. When both first-layer weight
+        gradients are factored, other's (one term, no L1 term) becomes a
+        term of self's; every other array is summed in blocks through one
+        small scratch array (see _blocks), so no temporary of a gradient's
+        size is made."""
+        mine, theirs = self._parts(), other._parts()
+        if [a.shape for a in mine] != [o.shape for o in theirs]:
             raise ConfigurationError("gradient shapes do not match")
-        scratch = _scratch(self.arrays())
+        w, o = self.weights[0], other.weights[0]
+        if (isinstance(w, FactoredGrad) and w.l1 is None and isinstance(o, FactoredGrad)
+                and len(o.terms) == 1 and o.l1 is None):
+            w.terms.append((c, *o.terms[0][1:]))
+            pairs = list(zip(mine[1:], theirs[1:]))
+        else:
+            pairs = list(zip(self.arrays(), other.arrays()))
+        scratch = _scratch([a for a, _ in pairs])
         for a, o in pairs:
             for (ab, ob), work in _blocks((a, o), scratch):
                 np.multiply(c, ob, out=work)
                 ab += work
+        return self
+
+    def add_l1(self, coeff: float, params: Sequence[np.ndarray]) -> "GradSet":
+        """In place: self += coeff * sign(p) for each parameter array p, in
+        blocks through one small scratch array (see _blocks). A factored
+        gradient records the term, and every block formed of it adds it."""
+        scratch = _scratch(params)
+        for p, g in zip(params, self._parts()):
+            if isinstance(g, FactoredGrad):
+                g.l1 = (coeff, p)
+                continue
+            for (pb, gb), work in _blocks((p, g), scratch):
+                np.multiply(coeff, np.sign(pb, out=work), out=work)
+                gb += work
         return self
 
 
@@ -156,6 +263,24 @@ def _blocks(arrays: Sequence[np.ndarray], scratch: np.ndarray):
     for lo in range(0, flat[0].size, scratch.size):
         hi = min(lo + scratch.size, flat[0].size)
         yield [a[lo:hi] for a in flat], scratch[:hi - lo]
+
+
+def _row_blocks(shape: tuple[int, int], size: int, count: int = 1):
+    """(r0, r1, scratch) for the row ranges r0:r1 of a 2-d array of this
+    shape, each of at most size elements (but at least one row, and one
+    more where a single row would be left over); scratch is
+    count work arrays of the block's shape, views of arrays made once.
+
+    A single last row joins the block before it: numpy forms a one-row
+    product on its matrix-vector path, whose sums round unlike the whole
+    product's."""
+    rows, cols = shape
+    step = max(1, min(rows, size // cols))
+    last = int(rows > step and rows % step == 1)
+    bufs = [np.empty((step + last) * cols) for _ in range(count)]
+    for r0 in range(0, rows - last, step):
+        r1 = rows if r0 + step >= rows - last else r0 + step
+        yield r0, r1, [b[:(r1 - r0) * cols].reshape(r1 - r0, cols) for b in bufs]
 
 
 @dataclass
@@ -213,7 +338,8 @@ def _as_batch(x) -> np.ndarray:
 
 
 def _forward_cached(net: EncoderNet, batch: np.ndarray):
-    """Forward pass keeping pre-activations and layer inputs for backward."""
+    """Forward pass keeping each layer's input, and the last one's output,
+    for backward. A rectifier runs in place, so no pre-activation is kept."""
     x = _as_batch(batch)
     if x.shape[1] != net.input_dim:
         raise ConfigurationError(
@@ -221,12 +347,11 @@ def _forward_cached(net: EncoderNet, batch: np.ndarray):
         )
     n_layers = len(net.layers)
     inputs = [x]  # inputs[i] feeds layer i
-    pre = []
     h = x
     for i, la in enumerate(net.layers):
-        a = h @ la.w + la.b
-        pre.append(a)
-        h = np.maximum(a, 0.0) if i < n_layers - 1 else a
+        h = h @ la.w + la.b
+        if i < n_layers - 1:
+            np.maximum(h, 0.0, out=h)
         inputs.append(h)
     if net.normalize_output:
         norms = np.sqrt(np.sum(h * h, axis=1) + NORM_FLOOR * NORM_FLOOR)
@@ -236,7 +361,7 @@ def _forward_cached(net: EncoderNet, batch: np.ndarray):
         z = h
     if not np.all(np.isfinite(z)):
         raise NumericError("encoder forward produced non-finite features")
-    return z, (inputs, pre, norms)
+    return z, (inputs, norms)
 
 
 def encoder_forward(net: EncoderNet, batch) -> np.ndarray:
@@ -248,8 +373,10 @@ def encoder_forward(net: EncoderNet, batch) -> np.ndarray:
 
 def _backward(net: EncoderNet, cache, z: np.ndarray, dfeats: np.ndarray,
               grads: GradSet) -> GradSet:
-    """Write every entry of grads, which matches net's layout."""
-    inputs, pre, norms = cache
+    """Write every entry of grads, which matches net's layout; the first
+    layer's weight gradient is kept factored when its factors are smaller
+    (see GradSet)."""
+    inputs, norms = cache
     if dfeats.shape != z.shape:
         raise ConfigurationError("feature gradient shape does not match features")
     if net.normalize_output:
@@ -261,11 +388,22 @@ def _backward(net: EncoderNet, cache, z: np.ndarray, dfeats: np.ndarray,
     n_layers = len(net.layers)
     for i in range(n_layers - 1, -1, -1):
         # delta holds d loss / d (output of layer i, after any rectifier)
-        da = delta * (pre[i] > 0) if i < n_layers - 1 else delta
-        np.matmul(inputs[i].T, da, out=grads.weights[i])
-        np.sum(da, axis=0, out=grads.biases[i])
+        if i < n_layers - 1:
+            # delta is a fresh product here, and a rectified output is > 0
+            # exactly where its pre-activation was (NaN and -0.0 included)
+            np.multiply(delta, inputs[i + 1] > 0, out=delta)
+        x = inputs[i]
+        n, (d_in, d_out) = len(x), net.layers[i].w.shape
+        if i == 0 and 0 < n * (d_in + d_out) < d_in * d_out:
+            # the loss owns dfeats, which is delta only for one unnormalized layer
+            grads.weights[0] = FactoredGrad(x, delta.copy() if delta is dfeats else delta)
+        else:
+            if not isinstance(grads.weights[i], np.ndarray):
+                grads.weights[i] = np.empty_like(net.layers[i].w)
+            np.matmul(x.T, delta, out=grads.weights[i])
+        np.sum(delta, axis=0, out=grads.biases[i])
         if i > 0:
-            delta = da @ net.layers[i].w.T
+            delta = delta @ net.layers[i].w.T
     return grads
 
 
@@ -276,14 +414,21 @@ def loss_and_grads(net: EncoderNet, batch, loss_fn: LossFn,
     TRAIN_NORM_MIN raises NumericError. The gradients are written into out
     when given (see GradSet.like), so a training loop that passes one buffer
     allocates no gradient per step; they stay valid until the next call with
-    the same buffer."""
+    the same buffer. The first layer's weight gradient is kept as its
+    factors, the batch and the layer's output gradient, when they hold
+    fewer floats than it, n·(d_in + d_out) < d_in·d_out (see GradSet); the
+    batch must then stay unchanged while the gradients are used."""
+    params = net.param_arrays()
     if out is None:
         out = GradSet.like(net)
-    elif [(g.shape, g.dtype) for g in out.arrays()] != [(p.shape, p.dtype)
-                                                        for p in net.param_arrays()]:
+    elif len(out._parts()) != len(params) or any(
+            g is not None and (g.shape, g.dtype) != (p.shape, p.dtype)
+            for g, p in zip(out._parts(), params)):
         raise ConfigurationError("gradient buffer does not match network layout")
+    if isinstance(out.weights[0], FactoredGrad):
+        out.weights[0] = None  # let the last batch go before this one's forward
     z, cache = _forward_cached(net, batch)
-    norms = cache[2]
+    norms = cache[1]
     if norms is not None and np.any(norms < TRAIN_NORM_MIN):
         raise NumericError(f"an output row's norm before normalization, {norms.min():.3g}, "
                            f"is below the training floor {TRAIN_NORM_MIN:g}")
@@ -305,7 +450,8 @@ def cosine_lr(step: int, total_steps: int, base_lr: float) -> float:
 def _momentum_update(p, g, buf, tmp, momentum: float, weight_decay: float,
                      lr: float) -> None:
     """buf <- m*buf + g + wd*p, then p <- p - lr*buf, in place; the two
-    products go through tmp, an array of p's shape."""
+    products go through tmp, an array of p's shape, which may be g: g is
+    read before tmp is written."""
     buf *= momentum
     buf += g
     if weight_decay != 0.0:
@@ -316,28 +462,38 @@ def _momentum_update(p, g, buf, tmp, momentum: float, weight_decay: float,
 def sgd_momentum_step(net: EncoderNet, grads: GradSet, opt: OptState) -> None:
     """One in-place update.  Buffer <- m*buffer + grad + wd*param, then
     param <- param - lr(step)*buffer, then step advances.  Raises
-    NumericError, before anything is written, on a non-finite gradient.
+    NumericError, before anything is written, on a non-finite gradient; a
+    factored one is checked through its factors (see FactoredGrad.finite).
 
-    Each array is updated in blocks (see _blocks), so its parameter,
-    gradient and buffer are each read once and no temporary of its size is
-    made."""
+    One loop updates every array in row blocks of at most _BLOCK elements,
+    so its parameter, gradient and buffer are each read once and no
+    temporary of its size is made. A dense gradient yields views of its
+    rows; a factored one forms row blocks of _FORM_BLOCK elements (see
+    FactoredGrad.blocks), each updated while it is in cache, so the whole
+    product is never written."""
     params = net.param_arrays()
-    garrs = grads.arrays()
+    garrs = grads._parts()
     if len(params) != len(garrs):
         raise ConfigurationError("gradient set does not match network layout")
     for p, g in zip(params, garrs):
-        if p.shape != g.shape:
+        if g is None or p.shape != g.shape:
             raise ConfigurationError("gradient shapes do not match parameters")
-    if not grads.all_finite():
+    if not all(g.finite() if isinstance(g, FactoredGrad) else np.all(np.isfinite(g))
+               for g in garrs):
         raise NumericError("non-finite gradient passed to optimizer")
     if opt.buffers is None:
         opt.buffers = [np.zeros_like(p) for p in params]
     lr = cosine_lr(opt.step, opt.total_steps, opt.base_lr)
     hyper = (opt.momentum, opt.weight_decay, lr)
-    scratch = _scratch(params)
-    for arrays in zip(params, garrs, opt.buffers):
-        for (p, g, buf), work in _blocks(arrays, scratch):
-            _momentum_update(p, g, buf, work, *hyper)
+    for p, g, buf in zip(params, garrs, opt.buffers):
+        p, buf = np.atleast_2d(p), np.atleast_2d(buf)
+        factored = isinstance(g, FactoredGrad)
+        for r0, gb in g.blocks() if factored else [(0, np.atleast_2d(g))]:
+            for s0, s1, scratch in _row_blocks(gb.shape, _BLOCK, 0 if factored else 1):
+                rows, g_rows = slice(r0 + s0, r0 + s1), gb[s0:s1]
+                # a formed block is spent once added in, so it is its own scratch
+                _momentum_update(p[rows], g_rows, buf[rows], g_rows if factored else scratch[0],
+                                 *hyper)
     opt.step += 1
 
 

@@ -250,18 +250,17 @@ def _tile_ids(perm: np.ndarray, count: int, width: int) -> list[np.ndarray]:
     return [tiled[k * width : (k + 1) * width] for k in range(count)]
 
 
-def _add_l1_subgradient(net: EncoderNet, grads, coeff: float) -> float:
-    """grads += coeff * sign(p) for each parameter array p, in blocks
-    through one small scratch array (see diffcore._blocks); returns the
-    penalty coeff * sum |p|, summed block by block."""
-    penalty = 0.0
+def _add_l1_subgradient(net: EncoderNet, grads: GradSet, coeff: float) -> float:
+    """grads += coeff * sign(p) for each parameter array p (see
+    GradSet.add_l1); returns the penalty coeff * sum |p|, summed block by
+    block through one small scratch array (see diffcore._blocks)."""
     params = net.param_arrays()
+    grads.add_l1(coeff, params)
+    penalty = 0.0
     scratch = _scratch(params)
-    for arrays in zip(params, grads.arrays()):
-        for (p, g), work in _blocks(arrays, scratch):
-            np.multiply(coeff, np.sign(p, out=work), out=work)
-            g += work
-            penalty += float(np.abs(p, out=work).sum())
+    for p in params:
+        for (block,), work in _blocks((p,), scratch):
+            penalty += float(np.abs(block, out=work).sum())
     return coeff * penalty
 
 
@@ -288,7 +287,9 @@ def _step_loss(net: EncoderNet, cfg: ACConfig, splits: Splits, side_width: int):
 
             return calibrate, True
     if cfg.method == "neggrad":
-        side_grads = GradSet.like(net)  # the unlearn half's, beside the retain half's
+        # the unlearn half's, beside the retain half's; with a factored first
+        # layer, axpy keeps its factors as a second term (see GradSet.axpy)
+        side_grads = GradSet.like(net)
 
         def neggrad(stack, rows):
             loss_r, g_r = loss_and_grads(net, stack[:rows], nce, grads)
@@ -297,11 +298,13 @@ def _step_loss(net: EncoderNet, cfg: ACConfig, splits: Splits, side_width: int):
 
         return neggrad, True
     if cfg.method == "gradascent":
-        def ascend(stack, rows):
-            loss, g = loss_and_grads(net, stack, nce, grads)
-            return loss, g.scale(-1.0)
+        def ascent(z):
+            # negation commutes with every rounding of the backward pass, so
+            # the gradients are exactly the negated InfoNCE gradients
+            value, dfeats = nce(z)
+            return value, -dfeats
 
-        return ascend, False
+        return (lambda stack, rows: loss_and_grads(net, stack, ascent, grads)), False
     if cfg.method == "l1sparsity" and cfg.l1_coeff > 0.0:
         def sparsify(stack, rows):
             loss, g = loss_and_grads(net, stack, nce, grads)

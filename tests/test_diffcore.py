@@ -8,6 +8,7 @@ from unlearnlab.diffcore import (
     _BLOCK,
     DenseLayer,
     EncoderNet,
+    FactoredGrad,
     GradSet,
     OptState,
     cosine_lr,
@@ -265,6 +266,8 @@ class TestGradientBuffers:
         x, w = rng.normal(size=(5, 4)), rng.normal(size=(5, 3))
         fn = lambda z: (float(np.sum(w * z * z)), 2.0 * w * z)
         out = GradSet.like(net)
+        # the first layer's buffer as a first dense backward pass leaves it
+        out.weights[0] = np.empty_like(net.layers[0].w)
         for a in out.arrays():
             a.fill(np.nan)  # any entry left unwritten stays NaN
         value, got = loss_and_grads(net, x, fn, out=out)
@@ -279,6 +282,90 @@ class TestGradientBuffers:
         with pytest.raises(ConfigurationError, match="gradient buffer"):
             loss_and_grads(net, np.ones((2, 4)), lambda z: (0.0, np.zeros_like(z)),
                            out=GradSet.like(init_encoder(dims, seed=0)))
+
+
+class TestFactoredGradients:
+    """A first layer whose factors hold fewer floats than its weight
+    gradient keeps it as FactoredGrad(X, δ); the optimizer forms it in row
+    blocks, with the dense path's bits and its finiteness checks."""
+
+    @staticmethod
+    def _net(rng, d_in=512, d_out=256):
+        # four row blocks of 128 rows
+        return EncoderNet([DenseLayer(rng.normal(size=(d_in, d_out)), rng.normal(size=d_out))],
+                          normalize_output=False)
+
+    @pytest.mark.parametrize("d_in,d_out,rows", [(3072, 1024, 14), (3072, 1024, 256),
+                                                 (3072, 1024, 284), (3072, 1024, 320),
+                                                 (3072, 1024, 766), (512, 1024, 24),
+                                                 (513, 512, 24)])
+    def test_row_blocks_equal_whole_product(self, d_in, d_out, rows):
+        # the factored path rests on this property of the installed BLAS, at
+        # the wide encoder's first layer and its stack sizes; 513 rows in
+        # blocks of 256 leave one row over, which joins the block before
+        rng = np.random.default_rng(rows)
+        x, delta = rng.normal(size=(rows, d_in)), rng.normal(size=(rows, d_out))
+        assert FactoredGrad(x, delta).form().tobytes() == (x.T @ delta).tobytes()
+
+    @pytest.mark.parametrize("rows,factored", [(16, True), (341, True), (342, False)])
+    def test_factored_when_factors_are_smaller(self, rows, factored):
+        # 341 * (512 + 1024) < 512 * 1024 <= 342 * (512 + 1024)
+        net = init_encoder([512, 1024, 64], seed=0)
+        rng = np.random.default_rng(1)
+        x, w = rng.normal(size=(rows, 512)), rng.normal(size=(rows, 64))
+        _, grads = loss_and_grads(net, x, lambda z: (float(np.sum(w * z)), w))
+        assert isinstance(grads.weights[0], FactoredGrad) == factored
+        assert all(isinstance(g, np.ndarray) for g in grads.weights[1:] + grads.biases)
+
+    def _step_pair(self, x, delta, bias_grad, wd=1e-3):
+        """Parameters and buffers after two steps with the factored gradient
+        and with its whole product, from the same start."""
+        out = []
+        for grads in (GradSet([FactoredGrad(x, delta)], [bias_grad]),
+                      GradSet([x.T @ delta], [bias_grad])):
+            net = self._net(np.random.default_rng(0))
+            opt = OptState(base_lr=0.1, momentum=0.9, weight_decay=wd, total_steps=4)
+            sgd_momentum_step(net, grads, opt)
+            sgd_momentum_step(net, grads, opt)
+            out.append([a.tobytes() for a in net.param_arrays() + opt.buffers])
+        return out
+
+    def test_step_equals_dense_step(self):
+        rng = np.random.default_rng(2)
+        got, want = self._step_pair(rng.normal(size=(8, 512)), rng.normal(size=(8, 256)),
+                                    rng.normal(size=256))
+        assert got == want
+
+    def test_unproven_bound_forms_and_checks(self):
+        # max|X| * max|δ| overflows, but no row pairs two huge entries, so
+        # every entry is finite: the step forms each block to check it
+        rng = np.random.default_rng(3)
+        x, delta = rng.normal(size=(8, 512)), rng.normal(size=(8, 256))
+        x[0] *= 1e200
+        delta[1] *= 1e200
+        got, want = self._step_pair(x, delta, rng.normal(size=256))
+        assert got == want
+
+    @pytest.mark.parametrize("poison", ["x nan", "x inf", "delta nan", "delta -inf",
+                                        "overflow"])
+    def test_non_finite_raises_before_any_write(self, poison):
+        rng = np.random.default_rng(4)
+        net = self._net(rng)
+        opt = OptState(base_lr=0.1, momentum=0.9, weight_decay=1e-3, total_steps=4)
+        sgd_momentum_step(net, GradSet([rng.normal(size=(512, 256))], [rng.normal(size=256)]),
+                          opt)
+        before = [a.tobytes() for a in net.param_arrays() + opt.buffers]
+        x, delta = rng.normal(size=(8, 512)), rng.normal(size=(8, 256))
+        if poison == "overflow":  # finite factors, one product entry of 1e400
+            x[0, 300] = delta[0, 200] = 1e200
+        else:
+            where, value = poison.split()
+            {"x": x, "delta": delta}[where][5, 7] = float(value)
+        with np.errstate(over="ignore"), pytest.raises(
+                NumericError, match="non-finite gradient passed to optimizer"):
+            sgd_momentum_step(net, GradSet([FactoredGrad(x, delta)], [np.zeros(256)]), opt)
+        assert opt.step == 1
+        assert [a.tobytes() for a in net.param_arrays() + opt.buffers] == before
 
 
 class TestNoFullSizeTemporaries:

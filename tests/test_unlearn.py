@@ -16,6 +16,7 @@ from unlearnlab.datagen import AugmentorConfig, gen_synthetic, paired_views_for_
 from unlearnlab.diffcore import (
     DenseLayer,
     EncoderNet,
+    FactoredGrad,
     cosine_lr,
     encoder_forward,
     finite_diff_check,
@@ -213,22 +214,39 @@ class TestRuns:
         for la, lb in zip(out.layers, enc.layers):
             assert np.array_equal(la.w, lb.w)
 
-    def test_non_finite_gradient_step_named(self, monkeypatch):
-        data, splits = tiny_problem()
-        enc = self._pretrained(data, splits)
+    @staticmethod
+    def _poisoned_run(monkeypatch, enc, data, splits, aug, factored):
+        """run_ac with an inf put into the second step's first-layer weight
+        gradient, in whichever form it has."""
         real, calls = unlearn.loss_and_grads, []
 
         def poisoned(*args):
             loss, grads = real(*args)
             calls.append(1)
             if len(calls) == 2:  # epoch 0, step 1
-                grads.weights[0][0, 0] = np.inf
+                w = grads.weights[0]
+                assert isinstance(w, FactoredGrad) == factored
+                if factored:
+                    w.terms[0][2][0, 0] = np.inf  # the layer's output gradient
+                else:
+                    w[0, 0] = np.inf
             return loss, grads
 
         monkeypatch.setattr(unlearn, "loss_and_grads", poisoned)
         cfg = ACConfig(epochs=1, retain_batch=8, unlearn_batch=4)
         with pytest.raises(NumericError, match=r"non-finite loss/grads at epoch 0 step 1$"):
-            run_ac(enc, data, splits, cfg, AugmentorConfig())
+            run_ac(enc, data, splits, cfg, aug)
+
+    def test_non_finite_gradient_step_named(self, monkeypatch):
+        data, splits = tiny_problem()
+        self._poisoned_run(monkeypatch, self._pretrained(data, splits), data, splits,
+                           AugmentorConfig(), factored=False)
+
+    def test_non_finite_factored_gradient_step_named(self, monkeypatch):
+        # a 3072-wide first layer over 24-row stacks keeps its gradient factored
+        data, splits, aug = _image_problem()
+        self._poisoned_run(monkeypatch, init_encoder([3072, 64, 4], seed=1), data, splits,
+                           aug, factored=True)
 
     def test_input_encoder_never_mutated(self):
         data, splits = tiny_problem()
@@ -391,6 +409,16 @@ def _reference_views(data, ids, aug, seed, epoch):
     return np.vstack(paired_views_for_ids(data, ids, aug, seed, epoch))
 
 
+def _dense(grads):
+    """grads with a factored first-layer weight gradient replaced by the
+    whole product, as the dense backward pass computes it."""
+    w = grads.weights[0]
+    if isinstance(w, FactoredGrad):
+        (_, x, delta), = w.terms
+        grads.weights[0] = x.T @ delta
+    return grads
+
+
 def _reference_pretrain(data, ids, cfg, arch, aug):
     net = init_encoder(arch, seed=(cfg.seed, seeds.NET_INIT))
     opt = OptState(base_lr=cfg.base_lr, momentum=cfg.momentum, weight_decay=cfg.weight_decay,
@@ -400,7 +428,7 @@ def _reference_pretrain(data, ids, cfg, arch, aug):
         perm = seeds.stream_rng(cfg.seed, seeds.SHUFFLE_MAIN, epoch).permutation(ids)
         for chunk in batch_chunks(perm, cfg.batch_size):
             _, grads = loss_and_grads(net, _reference_views(data, chunk, aug, cfg.seed, epoch), nce)
-            sgd_momentum_step(net, grads, opt)
+            sgd_momentum_step(net, _dense(grads), opt)
     return net
 
 
@@ -409,7 +437,7 @@ def _reference_unlearn(start, data, splits, aug, cfg, method, coeff=None):
     ascent weight `coeff`, l1sparsity with L1 coefficient `coeff`,
     gradascent, which steps up the InfoNCE gradient of the unlearn set, or
     finetune, which steps down the retain set's. Every step's gradients are
-    fresh arrays."""
+    fresh dense arrays, each first-layer weight gradient one whole product."""
     net = start.copy()
     ascent_only = method == "gradascent"
     drive, batch = ((splits.unlearn, cfg.unlearn_batch) if ascent_only
@@ -428,17 +456,18 @@ def _reference_unlearn(start, data, splits, aug, cfg, method, coeff=None):
                 fn = ac_stack_loss_fn(len(chunk), width, cfg, coeff, PairWorkspace())
                 _, grads = loss_and_grads(net, np.vstack([views(chunk), views(side)]), fn)
             elif method == "neggrad":
-                _, grads = loss_and_grads(net, views(chunk), nce)
-                _, g_u = loss_and_grads(net, views(side), nce)
+                grads = _dense(loss_and_grads(net, views(chunk), nce)[1])
+                g_u = _dense(loss_and_grads(net, views(side), nce)[1])
                 grads.axpy(-coeff, g_u)
             else:
-                _, grads = loss_and_grads(net, views(chunk), nce)
+                grads = _dense(loss_and_grads(net, views(chunk), nce)[1])
                 if ascent_only:
-                    grads.scale(-1.0)
+                    for a in grads.arrays():
+                        a *= -1.0
                 elif method == "l1sparsity":
                     for p, g in zip(net.param_arrays(), grads.arrays()):
                         g += coeff * np.sign(p)
-            sgd_momentum_step(net, grads, opt)
+            sgd_momentum_step(net, _dense(grads), opt)
     return net
 
 
@@ -488,3 +517,75 @@ class TestImageModeTraining:
         got = run_ac(start, data, splits, m, aug)
         assert got.layers[0].w.tobytes() != start.layers[0].w.tobytes()
         self._same(got, _reference_unlearn(start, data, splits, aug, m, "finetune"))
+
+
+def _vector_problem():
+    """48 samples of dim 512: 12 unlearn, 24 retain and 12 test ids."""
+    data = gen_synthetic(3, 512, 48, 4.0, seed=0)
+    return data, split(data, 1 / 3, 0.25, 0.0, seed=0), AugmentorConfig()
+
+
+# (problem, arch): first layers that keep their gradient factored over the
+# training stacks below, which have 8 to 24 rows
+FACTORED = [(_image_problem, [3072, 64, 4]), (_vector_problem, [512, 1024, 64])]
+# method -> the reference's coefficient (see _reference_unlearn)
+COEFFS = {"ac": 0.5, "finetune": None, "gradascent": None, "neggrad": 0.7, "l1sparsity": 1e-3}
+
+
+@pytest.fixture
+def factored_grads(monkeypatch):
+    """The number of FactoredGrads built so far."""
+    count = [0]
+    init = FactoredGrad.__init__
+
+    def counted(self, *args):
+        count[0] += 1
+        init(self, *args)
+
+    monkeypatch.setattr(FactoredGrad, "__init__", counted)
+    return count
+
+
+class TestFactoredTraining:
+    """With the first layer's weight gradient kept as its factors and formed
+    block by block in the optimizer, training equals the loops that step on
+    whole dense gradients, bit for bit."""
+
+    _same = staticmethod(TestImageModeTraining._same)
+
+    @pytest.mark.parametrize("problem,arch", FACTORED)
+    def test_pretrain_on_ids(self, factored_grads, problem, arch):
+        data, splits, aug = problem()
+        cfg = ContrastiveConfig(epochs=2, batch_size=8, seed=3)
+        got = pretrain_on_ids(data, splits.train, cfg, arch, aug)
+        assert factored_grads[0] > 0
+        self._same(got, _reference_pretrain(data, splits.train, cfg, arch, aug))
+
+    @pytest.mark.parametrize("problem,arch", FACTORED)
+    @pytest.mark.parametrize("method", unlearn.METHODS)
+    def test_run_ac(self, factored_grads, problem, arch, method):
+        data, splits, aug = problem()
+        start = init_encoder(arch, seed=(1, seeds.NET_INIT))
+        coeff = COEFFS[method]
+        m = ACConfig(method=method, epochs=2, lr=0.05, retain_batch=8, unlearn_batch=4,
+                     unlearn_scale=coeff if method == "ac" else None,
+                     ascent_weight=coeff if method == "neggrad" else 1.0,
+                     l1_coeff=coeff if method == "l1sparsity" else 0.0, seed=4)
+        got = run_ac(start, data, splits, m, aug)
+        assert factored_grads[0] > 0
+        assert got.layers[0].w.tobytes() != start.layers[0].w.tobytes()
+        self._same(got, _reference_unlearn(start, data, splits, aug, m, method, coeff))
+
+    @pytest.mark.parametrize("width,retain_batch,unlearn_batch", [
+        (16, 8, 4),  # 16 retain rows dense, 8 unlearn rows factored
+        (12, 4, 8),  # 8 retain rows factored, 12 unlearn rows dense
+    ])
+    def test_neggrad_with_one_half_factored(self, factored_grads, width, retain_batch,
+                                            unlearn_batch):
+        data, splits, aug = _image_problem()
+        start = init_encoder([3072, width, 4], seed=(1, seeds.NET_INIT))
+        m = ACConfig(method="neggrad", epochs=2, lr=0.05, retain_batch=retain_batch,
+                     unlearn_batch=unlearn_batch, ascent_weight=0.7, seed=4)
+        got = run_ac(start, data, splits, m, aug)
+        assert factored_grads[0] > 0
+        self._same(got, _reference_unlearn(start, data, splits, aug, m, "neggrad", 0.7))
