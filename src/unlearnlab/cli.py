@@ -456,11 +456,11 @@ def cmd_audit(cfg: dict, args) -> int:
             write_feature_dump(out / f"{stem}_y.csv", ids, fy)
 
     fs, per_sample = forgetting_score_from_features(bx, by, ax, ay)
-    agm = alignment_gap(alignment_matrix(bx, by, ids, ids),
-                        alignment_matrix(ax, ay, ids, ids))
+    before_am = alignment_matrix(bx, by, ids, ids)
+    agm = alignment_gap(before_am, alignment_matrix(ax, ay, ids, ids))
     write_matrix_csv(out / "agm.csv", agm.values, ids, ids)
     write_heatmap_pgm(out / "agm.pgm", agm.values)
-    neg = neg_alignment_stats(agm, "full")
+    neg = neg_alignment_stats(agm)
     lines = [
         f"fs={_fmt(fs)}",
         f"neg_mean={_fmt(neg.mean)}",
@@ -475,11 +475,10 @@ def cmd_audit(cfg: dict, args) -> int:
         if not np.array_equal(ids, ids_n):
             raise ConfigurationError("null dumps carry different sample ids than the audit set")
         _, null_per = forgetting_score_from_features(bx, by, nx, ny)
-        null_agm = alignment_gap(alignment_matrix(bx, by, ids, ids),
-                                 alignment_matrix(nx, ny, ids, ids))
+        null_agm = alignment_gap(before_am, alignment_matrix(nx, ny, ids, ids))
         pos_test = welch_ttest(SummaryStats.from_values(per_sample),
                                SummaryStats.from_values(null_per))
-        neg_test = welch_ttest(neg, neg_alignment_stats(null_agm, "full"))
+        neg_test = welch_ttest(neg, neg_alignment_stats(null_agm))
         for tag, res in (("pos", pos_test), ("neg", neg_test)):
             lines.append(f"{tag}_t={_fmt(res.t_statistic)}")
             lines.append(f"{tag}_df={_fmt(res.degrees_of_freedom)}")

@@ -171,21 +171,23 @@ def _terms_loss_fn(*terms, work: PairWorkspace | None = None) -> LossFn:
     return fn
 
 
-def _info_nce_terms(n_pairs: int, pool: slice, exclude, tau: float):
-    """A function that adds paired-view InfoNCE to a PairTerms: over the
-    stack's first 2 * n_pairs rows, laid out [x; y], the mean of
-    -s(a, partner)/tau + log sum_k exp(s(a, k)/tau) with k over the pool
-    rows, less pool position exclude[a] when it is >= 0.  The index arrays
-    it uses are built once, here."""
+def _info_nce_terms(n_pairs: int, pool: slice, exclude, tau: float, first_row: int = 0,
+                    coeff: float = 1.0):
+    """A function that adds coeff times paired-view InfoNCE to a PairTerms:
+    over the stack's 2 * n_pairs rows from first_row on, laid out [x; y],
+    the mean of -s(a, partner)/tau + log sum_k exp(s(a, k)/tau) with k over
+    the pool rows, less pool position exclude[a] when it is >= 0.  The index
+    arrays it uses are built once, here."""
     if not tau > 0:
         raise ConfigurationError("temperature must be > 0")
     anchors = np.arange(2 * n_pairs)
-    partners = (anchors + n_pairs) % (2 * n_pairs)
-    rows = slice(0, 2 * n_pairs)
+    partners = first_row + (anchors + n_pairs) % (2 * n_pairs)
+    anchors += first_row
+    rows = slice(first_row, first_row + 2 * n_pairs)
 
     def add(acc: PairTerms) -> None:
-        acc.add_pair_mean(anchors, partners, coeff=-1.0 / tau)
-        acc.add_log_sum_exp(rows, pool, coeff=1.0, tau=tau, exclude_pool_pos=exclude)
+        acc.add_pair_mean(anchors, partners, coeff=-coeff / tau)
+        acc.add_log_sum_exp(rows, pool, coeff=coeff, tau=tau, exclude_pool_pos=exclude)
 
     return add
 
@@ -240,15 +242,18 @@ def sgd_epochs(
     momentum: float,
     weight_decay: float,
     epoch_steps: Callable[[int], Iterator[tuple[float, GradSet]]],
+    l1: float = 0.0,
 ) -> None:
     """SGD with momentum and a cosine schedule over epochs * steps_per_epoch
-    steps, in place on net. epoch_steps(epoch) yields one (loss, grads) per
-    step of that epoch, each taken before the next is drawn, so the steps may
-    share one gradient buffer. A non-finite loss or gradient, or another
-    NumericError of a step (a row under loss_and_grads' norm floor), raises
-    NumericError naming the epoch and step, before that step writes anything."""
+    steps, in place on net; l1 adds the subgradient of the penalty
+    l1 * sum |p| to every step (see sgd_momentum_step). epoch_steps(epoch)
+    yields one (loss, grads) per step of that epoch, each taken before the
+    next is drawn, so the steps may share one gradient buffer. A non-finite
+    loss or gradient, or another NumericError of a step (a row under
+    loss_and_grads' norm floor), raises NumericError naming the epoch and
+    step, before that step writes anything."""
     opt = OptState(base_lr=lr, momentum=momentum, weight_decay=weight_decay,
-                   total_steps=epochs * steps_per_epoch)
+                   total_steps=epochs * steps_per_epoch, l1=l1)
     for epoch in range(epochs):
         step = 0
         try:

@@ -109,43 +109,27 @@ class FactoredGrad:
     """A weight gradient X^T·δ kept as its factors, the layer input X and the
     output gradient δ: n·(d_in + d_out) floats in place of d_in·d_out.
 
-    It stands for the sum over terms (c, X, δ) of c·X^T·δ, the first term's
-    c being 1, plus coeff·sign(w) when l1 = (coeff, w) is set. blocks()
-    forms it one row block at a time. Row blocks of X^T·δ equal the rows of
-    the whole product bit for bit on the installed BLAS (a test pins this),
-    so every block has the bits the dense gradient would have. The factors
-    are the batch and a backward-pass array, held by reference."""
+    blocks() forms it one row block at a time. Row blocks of X^T·δ equal
+    the rows of the whole product bit for bit on the installed BLAS (a test
+    pins this), so every block has the bits the dense gradient would have.
+    The factors are the batch and a backward-pass array, held by reference."""
 
     dtype = np.dtype(np.float64)
 
     def __init__(self, x: np.ndarray, delta: np.ndarray):
-        self.terms = [(1.0, x, delta)]
-        self.l1: tuple[float, np.ndarray] | None = None
+        self.x = x
+        self.delta = delta
 
     @property
     def shape(self) -> tuple[int, int]:
-        _, x, delta = self.terms[0]
-        return x.shape[1], delta.shape[1]
+        return self.x.shape[1], self.delta.shape[1]
 
     def blocks(self):
         """(r0, block) for row blocks of about _FORM_BLOCK elements (see
         _row_blocks), all formed in one scratch array, so each is valid
-        until the next is drawn.
-        Each later term goes through a second scratch array as work =
-        c·(its block), block += work, the operations GradSet.axpy applies to
-        a dense gradient; the L1 term is added as GradSet.add_l1 adds it."""
-        extra = len(self.terms) > 1 or self.l1 is not None
-        for r0, r1, (out, *work) in _row_blocks(self.shape, _FORM_BLOCK, 1 + extra):
-            for k, (c, x, delta) in enumerate(self.terms):
-                np.matmul(x[:, r0:r1].T, delta, out=work[0] if k else out)
-                if k:
-                    np.multiply(c, work[0], out=work[0])
-                    out += work[0]
-            if self.l1 is not None:
-                coeff, w = self.l1
-                np.multiply(coeff, np.sign(w[r0:r1], out=work[0]), out=work[0])
-                out += work[0]
-            yield r0, out
+        until the next is drawn."""
+        for r0, r1, (out,) in _row_blocks(self.shape, _FORM_BLOCK):
+            yield r0, np.matmul(self.x[:, r0:r1].T, self.delta, out=out)
 
     def form(self) -> np.ndarray:
         """The whole gradient, in a new array."""
@@ -154,23 +138,15 @@ class FactoredGrad:
             out[r0:r0 + len(block)] = block
         return out
 
-    def finite(self) -> bool:
-        """Whether every entry is finite, without forming the gradient when
-        the factors prove it. A non-finite factor makes a whole row or
-        column of its product non-finite. With every factor finite, no
-        entry exceeds sum |c|·n·max|X|·max|δ| (plus the L1 coefficient, with
-        w free of NaN) but for rounding, so a sum far below the float64
-        limit proves them all finite; otherwise each block is formed once
-        and checked."""
-        bound = 0.0
-        for c, x, delta in self.terms:
-            ends = [float(e) for a in (x, delta) for e in (a.min(), a.max())]
-            if not all(math.isfinite(e) for e in ends):
-                return False
-            bound += abs(c) * len(x) * max(-ends[0], ends[1]) * max(-ends[2], ends[3])
-        if self.l1 is not None:
-            bound += abs(self.l1[0]) if not math.isnan(self.l1[1].max()) else math.inf
-        return bound < _FINITE_BOUND or all(np.isfinite(block).all() for _, block in self.blocks())
+    def bound(self) -> float:
+        """n·max|X|·max|δ|, which no entry's magnitude exceeds but for
+        rounding, taken from the factors without forming the gradient. NaN
+        when a factor is non-finite, which makes a whole row or column of
+        the product non-finite."""
+        ends = [float(e) for a in (self.x, self.delta) for e in (a.min(), a.max())]
+        if not all(math.isfinite(e) for e in ends):
+            return math.nan
+        return len(self.x) * max(-ends[0], ends[1]) * max(-ends[2], ends[3])
 
 
 @dataclass
@@ -179,10 +155,10 @@ class GradSet:
 
     When a backward pass's first-layer factors hold fewer floats than that
     layer's weight gradient, n·(d_in + d_out) < d_in·d_out, weights[0] is a
-    FactoredGrad, and its dense array is never made by the optimizer or
-    the gradient transforms (axpy, add_l1); arrays() forms it whole for
-    code that needs it so. Otherwise weights[0] is a dense array, allocated
-    by the first backward pass that needs it. Every other entry is dense."""
+    FactoredGrad, which the optimizer forms only block by block; arrays()
+    forms it whole for code that needs it so. Otherwise weights[0] is a
+    dense array, allocated by the first backward pass that needs it. Every
+    other entry is dense."""
 
     weights: list[np.ndarray | FactoredGrad | None]
     biases: list[np.ndarray]
@@ -207,63 +183,6 @@ class GradSet:
             out.append(b)
         return out
 
-    def axpy(self, c: float, other: "GradSet") -> "GradSet":
-        """In place: self += c * other. When both first-layer weight
-        gradients are factored, other's (one term, no L1 term) becomes a
-        term of self's; every other array is summed in blocks through one
-        small scratch array (see _blocks), so no temporary of a gradient's
-        size is made."""
-        mine, theirs = self._parts(), other._parts()
-        if [a.shape for a in mine] != [o.shape for o in theirs]:
-            raise ConfigurationError("gradient shapes do not match")
-        w, o = self.weights[0], other.weights[0]
-        if (isinstance(w, FactoredGrad) and w.l1 is None and isinstance(o, FactoredGrad)
-                and len(o.terms) == 1 and o.l1 is None):
-            w.terms.append((c, *o.terms[0][1:]))
-            pairs = list(zip(mine[1:], theirs[1:]))
-        else:
-            pairs = list(zip(self.arrays(), other.arrays()))
-        scratch = _scratch([a for a, _ in pairs])
-        for a, o in pairs:
-            for (ab, ob), work in _blocks((a, o), scratch):
-                np.multiply(c, ob, out=work)
-                ab += work
-        return self
-
-    def add_l1(self, coeff: float, params: Sequence[np.ndarray]) -> "GradSet":
-        """In place: self += coeff * sign(p) for each parameter array p, in
-        blocks through one small scratch array (see _blocks). A factored
-        gradient records the term, and every block formed of it adds it."""
-        scratch = _scratch(params)
-        for p, g in zip(params, self._parts()):
-            if isinstance(g, FactoredGrad):
-                g.l1 = (coeff, p)
-                continue
-            for (pb, gb), work in _blocks((p, g), scratch):
-                np.multiply(coeff, np.sign(pb, out=work), out=work)
-                gb += work
-        return self
-
-
-def _scratch(arrays: Sequence[np.ndarray]) -> np.ndarray:
-    """A float64 work array for _blocks over arrays of these sizes."""
-    return np.empty(min(_BLOCK, max(a.size for a in arrays)))
-
-
-def _blocks(arrays: Sequence[np.ndarray], scratch: np.ndarray):
-    """Aligned blocks of same-shape arrays, each with a view of scratch of
-    the block's shape: runs of at most scratch.size elements when every
-    array is C-contiguous, else the arrays whole with a fresh scratch. An
-    elementwise operation done block by block gives every element the same
-    operations in the same order as a whole-array one, so the same bits."""
-    if not all(a.flags.c_contiguous for a in arrays):
-        yield list(arrays), np.empty_like(arrays[0])  # no flat views to block over
-        return
-    flat = [a.reshape(-1) for a in arrays]
-    for lo in range(0, flat[0].size, scratch.size):
-        hi = min(lo + scratch.size, flat[0].size)
-        yield [a[lo:hi] for a in flat], scratch[:hi - lo]
-
 
 def _row_blocks(shape: tuple[int, int], size: int, count: int = 1):
     """(r0, r1, scratch) for the row ranges r0:r1 of a 2-d array of this
@@ -285,12 +204,14 @@ def _row_blocks(shape: tuple[int, int], size: int, count: int = 1):
 
 @dataclass
 class OptState:
-    """SGD-with-momentum state plus a cosine step schedule."""
+    """SGD-with-momentum state plus a cosine step schedule; l1 is the
+    coefficient of an L1 penalty on the parameters (see sgd_momentum_step)."""
 
     base_lr: float
     momentum: float = 0.9
     weight_decay: float = 0.0
     total_steps: int = 1
+    l1: float = 0.0
     step: int = 0
     buffers: list[np.ndarray] | None = None
 
@@ -447,23 +368,49 @@ def cosine_lr(step: int, total_steps: int, base_lr: float) -> float:
     return base_lr * 0.5 * (1.0 + math.cos(math.pi * step / total_steps))
 
 
-def _momentum_update(p, g, buf, tmp, momentum: float, weight_decay: float,
+def _momentum_update(p, g, buf, tmp, momentum: float, weight_decay: float, l1: float,
                      lr: float) -> None:
-    """buf <- m*buf + g + wd*p, then p <- p - lr*buf, in place; the two
-    products go through tmp, an array of p's shape, which may be g: g is
-    read before tmp is written."""
+    """buf <- m*buf + (g + l1*sign(p)) + wd*p, then p <- p - lr*buf, in
+    place; the products go through tmp, an array of p's shape, which may be
+    g when l1 is 0: g is read before tmp is written."""
     buf *= momentum
-    buf += g
+    if l1 != 0.0:
+        np.multiply(l1, np.sign(p, out=tmp), out=tmp)
+        tmp += g
+        buf += tmp
+    else:
+        buf += g
     if weight_decay != 0.0:
         buf += np.multiply(weight_decay, p, out=tmp)
     p -= np.multiply(lr, buf, out=tmp)
 
 
+def _addend_finite(g, p: np.ndarray, l1: float) -> bool:
+    """Whether g + l1*sign(p), what the momentum update adds for the
+    gradient g of p, is finite everywhere. With l1 at 0 a dense g is
+    scanned once. Otherwise a bound on |g|, taken from the factors of a
+    factored one (see FactoredGrad.bound), plus l1 far below the float64
+    limit proves it, and a NaN bound disproves it; failing both, the sum is
+    formed block by block and checked."""
+    factored = isinstance(g, FactoredGrad)
+    if not factored and l1 == 0.0:
+        return bool(np.all(np.isfinite(g)))
+    bound = g.bound() if factored else max(-float(g.min()), float(g.max()))
+    if math.isnan(bound):  # a NaN entry, or a non-finite factor
+        return False
+    if bound + l1 < _FINITE_BOUND:
+        return True
+    return all(np.isfinite(b + l1 * np.sign(p[r0:r0 + len(b)]) if l1 else b).all()
+               for r0, b in (g.blocks() if factored else [(0, g)]))
+
+
 def sgd_momentum_step(net: EncoderNet, grads: GradSet, opt: OptState) -> None:
-    """One in-place update.  Buffer <- m*buffer + grad + wd*param, then
-    param <- param - lr(step)*buffer, then step advances.  Raises
-    NumericError, before anything is written, on a non-finite gradient; a
-    factored one is checked through its factors (see FactoredGrad.finite).
+    """One in-place update.  Buffer <- m*buffer + (grad + l1*sign(param)) +
+    wd*param, then param <- param - lr(step)*buffer, then step advances; the
+    l1 term is the subgradient of the penalty l1 * sum |param|.  Raises
+    NumericError, before anything is written, when grad + l1*sign(param) is
+    non-finite anywhere; a factored gradient is checked through its factors
+    where they prove it finite (see _addend_finite).
 
     One loop updates every array in row blocks of at most _BLOCK elements,
     so its parameter, gradient and buffer are each read once and no
@@ -478,21 +425,22 @@ def sgd_momentum_step(net: EncoderNet, grads: GradSet, opt: OptState) -> None:
     for p, g in zip(params, garrs):
         if g is None or p.shape != g.shape:
             raise ConfigurationError("gradient shapes do not match parameters")
-    if not all(g.finite() if isinstance(g, FactoredGrad) else np.all(np.isfinite(g))
-               for g in garrs):
+    if not all(_addend_finite(g, p, opt.l1) for p, g in zip(params, garrs)):
         raise NumericError("non-finite gradient passed to optimizer")
     if opt.buffers is None:
         opt.buffers = [np.zeros_like(p) for p in params]
     lr = cosine_lr(opt.step, opt.total_steps, opt.base_lr)
-    hyper = (opt.momentum, opt.weight_decay, lr)
+    hyper = (opt.momentum, opt.weight_decay, opt.l1, lr)
     for p, g, buf in zip(params, garrs, opt.buffers):
         p, buf = np.atleast_2d(p), np.atleast_2d(buf)
         factored = isinstance(g, FactoredGrad)
+        # a formed block is spent once added in, so it is its own scratch
+        # unless the L1 term is formed beside it
+        own = factored and opt.l1 == 0.0
         for r0, gb in g.blocks() if factored else [(0, np.atleast_2d(g))]:
-            for s0, s1, scratch in _row_blocks(gb.shape, _BLOCK, 0 if factored else 1):
+            for s0, s1, scratch in _row_blocks(gb.shape, _BLOCK, 0 if own else 1):
                 rows, g_rows = slice(r0 + s0, r0 + s1), gb[s0:s1]
-                # a formed block is spent once added in, so it is its own scratch
-                _momentum_update(p[rows], g_rows, buf[rows], g_rows if factored else scratch[0],
+                _momentum_update(p[rows], g_rows, buf[rows], g_rows if own else scratch[0],
                                  *hyper)
     opt.step += 1
 

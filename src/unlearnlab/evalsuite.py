@@ -215,24 +215,14 @@ def forgetting_score(
     )
 
 
-def neg_alignment_stats(gap: AlignmentGapMatrix, mode: str = "full") -> SummaryStats:
-    """Summary of cross-sample (off-diagonal) gap entries.  mode='full'
-    uses all n(n-1) entries; mode='upper' only the upper triangle, for
-    audits where each unordered pair may be counted once."""
+def neg_alignment_stats(gap: AlignmentGapMatrix) -> SummaryStats:
+    """Summary of the n(n-1) cross-sample (off-diagonal) gap entries."""
     v = gap.values
     if v.shape[0] != v.shape[1]:
         raise ConfigurationError("off-diagonal stats need a square gap matrix")
     if v.shape[0] < 2:
         raise ConfigurationError("need at least 2 samples for cross-sample stats")
-    if mode == "full":
-        mask = ~np.eye(v.shape[0], dtype=bool)
-        vals = v[mask]
-    elif mode == "upper":
-        iu = np.triu_indices(v.shape[0], k=1)
-        vals = v[iu]
-    else:
-        raise ConfigurationError("mode must be 'full' or 'upper'")
-    return SummaryStats.from_values(vals)
+    return SummaryStats.from_values(v[~np.eye(v.shape[0], dtype=bool)])
 
 
 # --- two-sample location test from summary statistics ----------------------------

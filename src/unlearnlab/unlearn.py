@@ -19,6 +19,11 @@ Baselines: plain fine-tuning on retain ("finetune", which is "ac" at
 scale 0), gradient ascent on the unlearn set ("gradascent"), a
 descent/ascent difference ("neggrad"), fine-tuning with an L1 parameter
 penalty ("l1sparsity"), and exact retraining from scratch (retrain).
+
+Every step is one backward pass of one loss over one feature stack: a
+list of InfoNCE and alignment terms over row ranges of the stack, where
+gradient ascent is a term of negative weight.  The L1 penalty is not a
+loss term; the optimizer adds its subgradient beside weight decay.
 """
 
 from __future__ import annotations
@@ -52,8 +57,6 @@ from .diffcore import (
     EncoderNet,
     GradSet,
     LossFn,
-    _blocks,
-    _scratch,
     check_sgd_settings,
     encoder_forward,
     loss_and_grads,
@@ -200,6 +203,23 @@ def ac_stack_loss_fn(
     )
 
 
+def neggrad_stack_loss_fn(
+    n_retain: int, n_unlearn: int, cfg: ACConfig, work: PairWorkspace | None = None,
+) -> LossFn:
+    """NegGrad+ loss over a training stack [rx; ry; ux; uy]: the retain
+    rows' InfoNCE less cfg.ascent_weight times the unlearn rows' InfoNCE,
+    each against its own rows as the pool.  Every call builds its pair
+    matrices in work (a private one by default)."""
+    n = 2 * n_retain + 2 * n_unlearn
+    return _terms_loss_fn(
+        _info_nce_terms(n_retain, slice(0, 2 * n_retain), np.arange(2 * n_retain),
+                        cfg.temperature),
+        _info_nce_terms(n_unlearn, slice(2 * n_retain, n), np.arange(2 * n_unlearn),
+                        cfg.temperature, first_row=2 * n_retain, coeff=-cfg.ascent_weight),
+        work=work,
+    )
+
+
 # --- public value-level ops ----------------------------------------------------
 
 def _pool_loss(enc: EncoderNet, x, y, pool, make_fn) -> float:
@@ -250,68 +270,45 @@ def _tile_ids(perm: np.ndarray, count: int, width: int) -> list[np.ndarray]:
     return [tiled[k * width : (k + 1) * width] for k in range(count)]
 
 
-def _add_l1_subgradient(net: EncoderNet, grads: GradSet, coeff: float) -> float:
-    """grads += coeff * sign(p) for each parameter array p (see
-    GradSet.add_l1); returns the penalty coeff * sum |p|, summed block by
-    block through one small scratch array (see diffcore._blocks)."""
-    params = net.param_arrays()
-    grads.add_l1(coeff, params)
-    penalty = 0.0
-    scratch = _scratch(params)
-    for p in params:
-        for (block,), work in _blocks((p,), scratch):
-            penalty += float(np.abs(block, out=work).sum())
-    return coeff * penalty
-
-
 def _step_loss(net: EncoderNet, cfg: ACConfig, splits: Splits, side_width: int):
     """The step of cfg.method, and whether it uses a window of unlearn ids.
     The step maps a stack and the row count of its chunk's views, which
     come first, to the loss and gradients of net; the window's views, when
-    used, fill the rest of the stack. Every step rewrites the same
-    gradient set, so each step's gradients are valid until the next."""
-    nce = info_nce_loss_fn(cfg.temperature)
+    used, fill the rest of the stack. Every method's loss is one list of
+    terms over the whole stack, and every step rewrites the same gradient
+    set, so each step's gradients are valid until the next."""
     grads = GradSet.like(net)
+    work = PairWorkspace()  # shared by the losses of every chunk length
+
+    def per_chunk(make_fn):
+        """A step whose loss make_fn(n_pairs) builds once per chunk length."""
+        fns = {}
+
+        def step(stack, rows):
+            fn = fns.get(rows)
+            if fn is None:
+                fn = fns[rows] = make_fn(rows // 2)
+            return loss_and_grads(net, stack, fn, grads)
+
+        return step
+
     if cfg.method == "ac":
         scale = (len(splits.unlearn) / len(splits.retain) if cfg.unlearn_scale is None
                  else cfg.unlearn_scale)
         if scale != 0.0:
-            fns = {}  # AC loss per chunk length, sharing one workspace
-            work = PairWorkspace()
-
-            def calibrate(stack, rows):
-                fn = fns.get(rows)
-                if fn is None:
-                    fn = fns[rows] = ac_stack_loss_fn(rows // 2, side_width, cfg, scale, work)
-                return loss_and_grads(net, stack, fn, grads)
-
-            return calibrate, True
+            return per_chunk(lambda n: ac_stack_loss_fn(n, side_width, cfg, scale, work)), True
     if cfg.method == "neggrad":
-        # the unlearn half's, beside the retain half's; with a factored first
-        # layer, axpy keeps its factors as a second term (see GradSet.axpy)
-        side_grads = GradSet.like(net)
-
-        def neggrad(stack, rows):
-            loss_r, g_r = loss_and_grads(net, stack[:rows], nce, grads)
-            loss_u, g_u = loss_and_grads(net, stack[rows:], nce, side_grads)
-            return loss_r - cfg.ascent_weight * loss_u, g_r.axpy(-cfg.ascent_weight, g_u)
-
-        return neggrad, True
+        return per_chunk(lambda n: neggrad_stack_loss_fn(n, side_width, cfg, work)), True
     if cfg.method == "gradascent":
-        def ascent(z):
-            # negation commutes with every rounding of the backward pass, so
-            # the gradients are exactly the negated InfoNCE gradients
-            value, dfeats = nce(z)
-            return value, -dfeats
-
-        return (lambda stack, rows: loss_and_grads(net, stack, ascent, grads)), False
-    if cfg.method == "l1sparsity" and cfg.l1_coeff > 0.0:
-        def sparsify(stack, rows):
-            loss, g = loss_and_grads(net, stack, nce, grads)
-            return loss + _add_l1_subgradient(net, g, cfg.l1_coeff), g
-
-        return sparsify, False
-    # retain-only descent: finetune, or ac or l1sparsity at zero strength
+        # InfoNCE at weight -1: negation commutes with every rounding of the
+        # loss and the backward pass, so the gradients are exactly the
+        # negated InfoNCE gradients
+        return per_chunk(lambda n: _terms_loss_fn(
+            _info_nce_terms(n, slice(0, 2 * n), np.arange(2 * n), cfg.temperature, coeff=-1.0),
+            work=work)), False
+    # retain-only descent: finetune, l1sparsity (its penalty is the
+    # optimizer's), or ac at zero strength
+    nce = info_nce_loss_fn(cfg.temperature)
     return (lambda stack, rows: loss_and_grads(net, stack, nce, grads)), False
 
 
@@ -365,7 +362,8 @@ def run_ac(
             yield step_loss(stack, rows)
 
     sgd_epochs(net, cfg.epochs, steps_per_epoch(len(drive_ids), drive_batch), cfg.lr,
-               cfg.momentum, cfg.weight_decay, epoch_steps)
+               cfg.momentum, cfg.weight_decay, epoch_steps,
+               l1=cfg.l1_coeff if cfg.method == "l1sparsity" else 0.0)
     return net
 
 

@@ -101,7 +101,7 @@ def _offdiag_stats(before, after, data, splits, seed):
     vx, vy = paired_unlearn_views(data, splits.unlearn, AUG, seed)
     am_b = alignment_matrix(encoder_forward(before, vx), encoder_forward(before, vy))
     am_a = alignment_matrix(encoder_forward(after, vx), encoder_forward(after, vy))
-    return neg_alignment_stats(alignment_gap(am_b, am_a), "full")
+    return neg_alignment_stats(alignment_gap(am_b, am_a))
 
 
 def test_criterion_01_alignment_drop_pvalues():

@@ -593,9 +593,9 @@ class TestCheckpointLifetimes:
     def _spy(monkeypatch, module, name, refs, seen):
         real = getattr(module, name)
 
-        def spy(*args):
+        def spy(*args, **kwargs):
             seen.append(sorted(k for k, r in refs.items() if r() is not None))
-            return real(*args)
+            return real(*args, **kwargs)
 
         monkeypatch.setattr(module, name, spy)
 

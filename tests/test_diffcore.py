@@ -200,16 +200,24 @@ class TestBlockedMomentum:
                                       3 * _BLOCK + 5])
     @pytest.mark.parametrize("wd", [0.0, 5e-4])
     def test_equals_unblocked_reference(self, size, wd):
+        self._check_against_reference(size, wd)
+
+    @pytest.mark.parametrize("size", [1, _BLOCK + 1])
+    def test_l1_equals_unblocked_reference(self, size):
+        self._check_against_reference(size, 5e-4, l1=1e-3)
+
+    def _check_against_reference(self, size, wd, l1=0.0):
         rng = np.random.default_rng(size)
         net = self._net(size, rng)
         params = [a.copy() for a in net.param_arrays()]
         bufs = [np.zeros_like(a) for a in params]
-        opt = OptState(base_lr=0.1, momentum=0.9, weight_decay=wd, total_steps=5)
+        opt = OptState(base_lr=0.1, momentum=0.9, weight_decay=wd, total_steps=5, l1=l1)
         for step in range(3):
             grads = self._grads(size, rng)
             lr = cosine_lr(step, 5, 0.1)
             for p, g, buf in zip(params, grads.arrays(), bufs):
-                buf[...] = 0.9 * buf + g + wd * p
+                # the L1 subgradient joins the gradient before the sum
+                buf[...] = 0.9 * buf + (g + l1 * np.sign(p) if l1 else g) + wd * p
                 p -= lr * buf
             sgd_momentum_step(net, grads, opt)
         assert opt.step == 3
@@ -245,7 +253,6 @@ class TestBlockedMomentum:
 
 class TestGradientBuffers:
     def test_successive_calls_do_not_alias(self):
-        # NegGrad holds the retain and the unlearn gradients at once
         net = init_encoder([4, 6, 3], seed=0)
         rng = np.random.default_rng(1)
         x, y, w = rng.normal(size=(5, 4)), rng.normal(size=(5, 4)), rng.normal(size=(5, 3))
@@ -317,14 +324,14 @@ class TestFactoredGradients:
         assert isinstance(grads.weights[0], FactoredGrad) == factored
         assert all(isinstance(g, np.ndarray) for g in grads.weights[1:] + grads.biases)
 
-    def _step_pair(self, x, delta, bias_grad, wd=1e-3):
+    def _step_pair(self, x, delta, bias_grad, wd=1e-3, l1=0.0):
         """Parameters and buffers after two steps with the factored gradient
         and with its whole product, from the same start."""
         out = []
         for grads in (GradSet([FactoredGrad(x, delta)], [bias_grad]),
                       GradSet([x.T @ delta], [bias_grad])):
             net = self._net(np.random.default_rng(0))
-            opt = OptState(base_lr=0.1, momentum=0.9, weight_decay=wd, total_steps=4)
+            opt = OptState(base_lr=0.1, momentum=0.9, weight_decay=wd, total_steps=4, l1=l1)
             sgd_momentum_step(net, grads, opt)
             sgd_momentum_step(net, grads, opt)
             out.append([a.tobytes() for a in net.param_arrays() + opt.buffers])
@@ -334,6 +341,16 @@ class TestFactoredGradients:
         rng = np.random.default_rng(2)
         got, want = self._step_pair(rng.normal(size=(8, 512)), rng.normal(size=(8, 256)),
                                     rng.normal(size=256))
+        assert got == want
+
+    @pytest.mark.parametrize("scale", [1.0, 1e200])
+    def test_l1_step_equals_dense_step(self, scale):
+        # at 1e200 the bound overflows, so each block is formed and checked
+        rng = np.random.default_rng(5)
+        x, delta = rng.normal(size=(8, 512)), rng.normal(size=(8, 256))
+        x[0] *= scale
+        delta[1] *= scale
+        got, want = self._step_pair(x, delta, rng.normal(size=256), l1=1e-3)
         assert got == want
 
     def test_unproven_bound_forms_and_checks(self):

@@ -153,23 +153,20 @@ class TestForgettingScore:
 
 
 class TestNegAlignmentStats:
-    def test_full_and_upper_modes(self):
+    def test_off_diagonal_entries(self):
         vals = np.array([[0.5, 0.2, -0.1], [0.3, 0.6, 0.4], [-0.2, 0.1, 0.7]])
         gap = AlignmentGapMatrix(vals, np.arange(3), np.arange(3))
         off = np.array([0.2, -0.1, 0.3, 0.4, -0.2, 0.1])
-        full = neg_alignment_stats(gap, "full")
+        full = neg_alignment_stats(gap)
         assert full.n == 6
         assert full.mean == pytest.approx(off.mean(), abs=1e-15)
         assert full.std == pytest.approx(np.std(off, ddof=1), abs=1e-15)
-        up = neg_alignment_stats(gap, "upper")
-        upv = np.array([0.2, -0.1, 0.4])
-        assert up.n == 3
-        assert up.mean == pytest.approx(upv.mean(), abs=1e-15)
 
-    def test_bad_mode_rejected(self):
-        gap = AlignmentGapMatrix(np.zeros((2, 2)), np.arange(2), np.arange(2))
-        with pytest.raises(ConfigurationError):
-            neg_alignment_stats(gap, "diagonal")
+    def test_non_square_or_single_sample_rejected(self):
+        with pytest.raises(ConfigurationError, match="square"):
+            neg_alignment_stats(AlignmentGapMatrix(np.zeros((2, 3)), np.arange(2), np.arange(3)))
+        with pytest.raises(ConfigurationError, match="at least 2"):
+            neg_alignment_stats(AlignmentGapMatrix(np.zeros((1, 1)), np.arange(1), np.arange(1)))
 
 
 class TestWelch:

@@ -1,13 +1,13 @@
 """The memory plan: a training run holds two parameter-sized arrays, its
 parameters and its momentum, plus one gradient set that every step
-rewrites (neggrad two). A first layer whose factors, the stack and the
-layer's output gradient, hold fewer floats than its weight gradient keeps
-that gradient as them, and the momentum update forms it block by block,
-so on a wide first layer a gradient set is small and neggrad holds no
-second full set. Elementwise passes (the momentum update, neggrad's sum,
-the L1 subgradient) run in blocks through a small scratch array; run_ac
-frees a start encoder passed inline once it has copied it, and evaluate
-frees an inline before once its features are taken.
+rewrites, whatever the method: each step is one backward pass of one loss.
+A first layer whose factors, the stack and the layer's output gradient,
+hold fewer floats than its weight gradient keeps that gradient as them,
+and the momentum update forms it block by block, so on a wide first layer
+a gradient set is small. The momentum update, with its L1 subgradient,
+runs in blocks through a small scratch array; run_ac frees a start encoder
+passed inline once it has copied it, and evaluate frees an inline before
+once its features are taken.
 
 numpy reports its buffers to tracemalloc, so a traced peak counts every
 parameter-sized array alive at once.
@@ -23,7 +23,7 @@ import pytest
 from unlearnlab import evalsuite, unlearn
 from unlearnlab.contrastive import ContrastiveConfig, pretrain_on_ids
 from unlearnlab.datagen import AugmentorConfig, gen_synthetic, split
-from unlearnlab.diffcore import _FORM_BLOCK, GradSet, init_encoder
+from unlearnlab.diffcore import GradSet, init_encoder
 from unlearnlab.evalsuite import ProbeConfig, evaluate, linear_probe
 from unlearnlab.unlearn import METHODS, ACConfig, run_ac
 
@@ -36,12 +36,10 @@ PARAM_BYTES = sum(8 * (i * o + o) for i, o in zip(ARCH, ARCH[1:]))
 # parameters), the first layer's factors and one block formed of them (1 MiB,
 # 0.22), plus room for the views, the activations and the pair matrices:
 # measured peaks are 2.45 (gradascent) to 2.52 (pretrain) parameter sizes,
-# and the bound adds about a quarter of one. A dense first-layer gradient
-# would add 0.89.
+# and 2.58 for l1sparsity, whose L1 term takes scratch beside each formed
+# block; the bound adds about a quarter of one to most. A dense first-layer
+# gradient would add 0.89.
 BUDGET = 2.75 * PARAM_BYTES
-# neggrad's second term and the L1 term are formed through a second block
-# scratch array; measured peaks are 2.83 (neggrad) and 2.70 (l1sparsity)
-SECOND_BLOCK = {"neggrad": 8 * _FORM_BLOCK, "l1sparsity": 8 * _FORM_BLOCK}
 
 needs_311 = pytest.mark.skipif(
     sys.version_info < (3, 11),
@@ -83,14 +81,12 @@ class TestPeakMemory:
 
     @pytest.mark.parametrize("method", METHODS)
     def test_run_ac(self, method):
-        # the start encoder is the caller's, so only the copy counts; neggrad
-        # also holds its unlearn half's gradients, whose first layer stays
-        # factored as a second term of the retain half's
+        # the start encoder is the caller's, so only the copy counts
         data, splits = _problem()
         start = init_encoder(ARCH, seed=3)
         peak = _traced_peak(lambda: run_ac(
             start, data, splits, _unlearn_cfg(method, 2), AugmentorConfig()))
-        assert peak <= BUDGET + SECOND_BLOCK.get(method, 0), peak / PARAM_BYTES
+        assert peak <= BUDGET, peak / PARAM_BYTES
 
 
 @pytest.fixture
@@ -134,12 +130,11 @@ class TestGradientSetsPerRun:
 
     @pytest.mark.parametrize("method", METHODS)
     def test_run_ac(self, grad_sets, method):
-        # neggrad holds the retain and the unlearn half's gradients at once
         data, splits = _problem()
         start = init_encoder(ARCH, seed=3)
         counts = self._sets_at(grad_sets, lambda e: run_ac(
             start, data, splits, _unlearn_cfg(method, e), AugmentorConfig()))
-        assert counts == ([2, 2] if method == "neggrad" else [1, 1])
+        assert counts == [1, 1]
 
 
 @needs_311
@@ -155,9 +150,9 @@ class TestInlineArgumentsFreed:
         refs, alive = [], []
         real = unlearn.sgd_epochs
 
-        def spy(*args):
+        def spy(*args, **kwargs):
             alive.append(refs[0]() is not None)
-            return real(*args)
+            return real(*args, **kwargs)
 
         monkeypatch.setattr(unlearn, "sgd_epochs", spy)
         run_ac(self._fresh(refs, 3), data, splits, _unlearn_cfg("ac", 1), AugmentorConfig())

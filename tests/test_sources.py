@@ -1,5 +1,6 @@
 """Every source file parses under the oldest Python that pyproject.toml
-allows, whatever interpreter runs the suite."""
+allows, whatever interpreter runs the suite, and every name a package
+module imports is used there."""
 
 import ast
 import re
@@ -22,3 +23,34 @@ def test_parses_under_oldest_python(path):
     ast.parse(path.read_text(encoding="utf-8"), filename=str(path),
               feature_version=_oldest_python())
 
+
+
+def _unused_imports(path) -> list[str]:
+    """Names the module imports but never reads, less those it lists in
+    __all__ and those whose import line carries the "# not called here"
+    marker (a binding kept for code outside the package)."""
+    text = path.read_text(encoding="utf-8")
+    lines = text.splitlines()
+    tree = ast.parse(text, filename=str(path))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            used |= set(ast.literal_eval(node.value))
+    unused = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        for alias in node.names:
+            name = alias.asname or alias.name.partition(".")[0]
+            if name not in used and "# not called here" not in lines[alias.lineno - 1]:
+                unused.append(name)
+    return unused
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "src").rglob("*.py")),
+                         ids=lambda p: str(p.relative_to(ROOT)))
+def test_every_import_is_used(path):
+    assert _unused_imports(path) == []

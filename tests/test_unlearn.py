@@ -8,6 +8,7 @@ from unlearnlab.contrastive import (
     batch_chunks,
     info_nce_batch,
     info_nce_loss_fn,
+    info_nce_with_grads,
     pretrain,
     pretrain_on_ids,
     steps_per_epoch,
@@ -30,6 +31,7 @@ from unlearnlab.evalsuite import ProbeConfig
 from unlearnlab.unlearn import (
     ACConfig,
     ac_stack_loss_fn,
+    neggrad_stack_loss_fn,
     retain_loss,
     retain_stack_loss_fn,
     retrain,
@@ -200,6 +202,26 @@ class TestGradients:
         fn = ac_stack_loss_fn(3, 2, cfg, unlearn_scale=1.0 / 9.0)
         assert finite_diff_check(net, stack, fn) < 1e-5
 
+    def test_neggrad_stack_loss_matches_fd(self):
+        rng = np.random.default_rng(6)
+        net = jitter_biases(init_encoder([4, 6, 3], seed=13), 33)
+        stack = rng.normal(size=(2 * 3 + 2 * 2, 4))
+        fn = neggrad_stack_loss_fn(3, 2, ACConfig(method="neggrad", ascent_weight=0.7))
+        assert finite_diff_check(net, stack, fn) < 1e-5
+
+    def test_neggrad_stack_loss_is_the_difference_of_two_infonce(self):
+        """Over [rx; ry; ux; uy], InfoNCE(retain) - w * InfoNCE(unlearn),
+        each half computed apart."""
+        rng = np.random.default_rng(7)
+        z = rng.normal(size=(2 * 5 + 2 * 3, 4))
+        z /= np.linalg.norm(z, axis=1, keepdims=True)
+        cfg = ACConfig(method="neggrad", ascent_weight=0.7, temperature=0.3)
+        value, dz = neggrad_stack_loss_fn(5, 3, cfg)(z)
+        loss_r, dz_r = info_nce_with_grads(z[:10], 0.3)
+        loss_u, dz_u = info_nce_with_grads(z[10:], 0.3)
+        assert value == pytest.approx(loss_r - 0.7 * loss_u, abs=1e-12)
+        np.testing.assert_allclose(dz, np.vstack([dz_r, -0.7 * dz_u]), rtol=0, atol=1e-12)
+
 
 class TestRuns:
     def _pretrained(self, data, splits, seed=0):
@@ -227,7 +249,7 @@ class TestRuns:
                 w = grads.weights[0]
                 assert isinstance(w, FactoredGrad) == factored
                 if factored:
-                    w.terms[0][2][0, 0] = np.inf  # the layer's output gradient
+                    w.delta[0, 0] = np.inf  # the layer's output gradient
                 else:
                     w[0, 0] = np.inf
             return loss, grads
@@ -247,6 +269,28 @@ class TestRuns:
         data, splits, aug = _image_problem()
         self._poisoned_run(monkeypatch, init_encoder([3072, 64, 4], seed=1), data, splits,
                            aug, factored=True)
+
+    @pytest.mark.parametrize("factored", [False, True])
+    def test_infinite_l1_raises_before_any_write(self, monkeypatch, factored):
+        if factored:  # a 3072-wide first layer over 16-row stacks
+            data, splits, aug = _image_problem()
+            enc = init_encoder([3072, 64, 4], seed=1)
+        else:
+            data, splits = tiny_problem()
+            enc, aug = self._pretrained(data, splits), AugmentorConfig()
+        nets, real = [], unlearn.sgd_epochs
+
+        def spy(net, *args, **kwargs):
+            nets.append(net)
+            return real(net, *args, **kwargs)
+
+        monkeypatch.setattr(unlearn, "sgd_epochs", spy)
+        cfg = ACConfig(method="l1sparsity", l1_coeff=np.inf, epochs=1, retain_batch=8)
+        with np.errstate(invalid="ignore"), pytest.raises(
+                NumericError, match=r"non-finite loss/grads at epoch 0 step 0$"):
+            run_ac(enc, data, splits, cfg, aug)
+        assert [a.tobytes() for a in nets[0].param_arrays()] == [
+            a.tobytes() for a in enc.param_arrays()]
 
     def test_input_encoder_never_mutated(self):
         data, splits = tiny_problem()
@@ -414,8 +458,7 @@ def _dense(grads):
     whole product, as the dense backward pass computes it."""
     w = grads.weights[0]
     if isinstance(w, FactoredGrad):
-        (_, x, delta), = w.terms
-        grads.weights[0] = x.T @ delta
+        grads.weights[0] = w.x.T @ w.delta
     return grads
 
 
@@ -434,7 +477,8 @@ def _reference_pretrain(data, ids, cfg, arch, aug):
 
 def _reference_unlearn(start, data, splits, aug, cfg, method, coeff=None):
     """Plain-loop unlearning by `method`: AC at scale `coeff`, neggrad with
-    ascent weight `coeff`, l1sparsity with L1 coefficient `coeff`,
+    ascent weight `coeff` (one loss over the stack of both halves, as AC),
+    l1sparsity with L1 coefficient `coeff`,
     gradascent, which steps up the InfoNCE gradient of the unlearn set, or
     finetune, which steps down the retain set's. Every step's gradients are
     fresh dense arrays, each first-layer weight gradient one whole product."""
@@ -452,13 +496,10 @@ def _reference_unlearn(start, data, splits, aug, cfg, method, coeff=None):
         chunks = batch_chunks(perm, batch)
         sideperm = seeds.stream_rng(cfg.seed, seeds.SHUFFLE_SIDE, epoch).permutation(splits.unlearn)
         for chunk, side in zip(chunks, unlearn._tile_ids(sideperm, len(chunks), width)):
-            if method == "ac":
-                fn = ac_stack_loss_fn(len(chunk), width, cfg, coeff, PairWorkspace())
+            if method in ("ac", "neggrad"):
+                fn = (ac_stack_loss_fn(len(chunk), width, cfg, coeff, PairWorkspace())
+                      if method == "ac" else neggrad_stack_loss_fn(len(chunk), width, cfg))
                 _, grads = loss_and_grads(net, np.vstack([views(chunk), views(side)]), fn)
-            elif method == "neggrad":
-                grads = _dense(loss_and_grads(net, views(chunk), nce)[1])
-                g_u = _dense(loss_and_grads(net, views(side), nce)[1])
-                grads.axpy(-coeff, g_u)
             else:
                 grads = _dense(loss_and_grads(net, views(chunk), nce)[1])
                 if ascent_only:
@@ -575,17 +616,3 @@ class TestFactoredTraining:
         assert factored_grads[0] > 0
         assert got.layers[0].w.tobytes() != start.layers[0].w.tobytes()
         self._same(got, _reference_unlearn(start, data, splits, aug, m, method, coeff))
-
-    @pytest.mark.parametrize("width,retain_batch,unlearn_batch", [
-        (16, 8, 4),  # 16 retain rows dense, 8 unlearn rows factored
-        (12, 4, 8),  # 8 retain rows factored, 12 unlearn rows dense
-    ])
-    def test_neggrad_with_one_half_factored(self, factored_grads, width, retain_batch,
-                                            unlearn_batch):
-        data, splits, aug = _image_problem()
-        start = init_encoder([3072, width, 4], seed=(1, seeds.NET_INIT))
-        m = ACConfig(method="neggrad", epochs=2, lr=0.05, retain_batch=retain_batch,
-                     unlearn_batch=unlearn_batch, ascent_weight=0.7, seed=4)
-        got = run_ac(start, data, splits, m, aug)
-        assert factored_grads[0] > 0
-        self._same(got, _reference_unlearn(start, data, splits, aug, m, "neggrad", 0.7))
