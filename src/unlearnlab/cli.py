@@ -404,17 +404,16 @@ def cmd_eval(cfg: dict, args) -> int:
             _require(Path(args.reference), "reference checkpoint"))
     # one pass: both encoders are scored on the same replayed views. before goes
     # in unnamed, so from Python 3.11 on evaluate frees it once it is used
-    reports = evaluate(encoders, load_encoder(before_path), data, splits, _config(cfg, "aug"),
-                       _config(cfg, "probe"), cfg["seed"])
+    reports = evaluate(encoders.items(), load_encoder(before_path), data, splits,
+                       _config(cfg, "aug"), _config(cfg, "probe"), cfg["seed"])
     rep = reports["candidate"]
     _write_report_files(out, "report", rep.metrics())
     for k in REPORT_FIELDS:
         print(f"{k}={_fmt(rep.metrics()[k])}")
     print(f"runtime_seconds={rep.runtime_seconds:.3f}")
     if args.reference:
-        ref = reports["reference"]
-        _write_report_files(out, "reference_report", ref.metrics())
-        _write_gaps(out, rep.metrics(), ref.metrics())
+        _write_report_files(out, "reference_report", reports["reference"].metrics())
+        _write_gaps(out, rep.metrics(), reports["reference"].metrics())
     return EXIT_OK
 
 
@@ -511,50 +510,40 @@ def cmd_report(cfg: dict, args) -> int:
     return EXIT_OK
 
 
-def _sweep_fs(start, data, splits, base: ACConfig, aug, alpha: float, beta: float,
-              views, before, job_dir: Path) -> float:
-    """FS of one grid cell's AC run, whatever unlearn.method is; views and before
-    are the unlearn set's replay views and the start encoder's features of them."""
-    cfg = dataclasses.replace(base, method="ac", negpair_weight=alpha, forget_weight=beta)
-    net = run_ac(start, data, splits, cfg, aug)
-    job_dir.mkdir(parents=True, exist_ok=True)
-    save_encoder(net, job_dir / "unlearned.bin")
-    (vx, vy), (bx, by) = views, before
-    fs, _ = forgetting_score_from_features(
-        bx, by, encoder_forward(net, vx), encoder_forward(net, vy))
-    return fs
-
-
 def cmd_sweep(cfg: dict, args) -> int:
     out = _out_dir(cfg)
     _snapshot(cfg, out, "sweep")
     data, splits = _load_data_splits(cfg, args)
-    enc_path = Path(args.encoder) if args.encoder else out / "encoder.bin"
-    ref_path = Path(args.reference) if args.reference else out / "retrain.bin"
-    start = load_encoder(_require(enc_path, "encoder checkpoint"))
-    reference = load_encoder(_require(ref_path, "retrain checkpoint"))
-    aug = _config(cfg, "aug")
+    start = load_encoder(_require(Path(args.encoder or out / "encoder.bin"), "encoder checkpoint"))
+    ref_path = _require(Path(args.reference or out / "retrain.bin"), "retrain checkpoint")
+    aug, base = _config(cfg, "aug"), _config(cfg, "unlearn")
+    cells = [(a, b) for a in _parse_grid("sweep.negpair_weights", cfg["sweep.negpair_weights"])
+             for b in _parse_grid("sweep.forget_weights", cfg["sweep.forget_weights"])]
 
-    vx, vy = paired_unlearn_views(data, splits.unlearn, aug, cfg["seed"])
-    bx, by = encoder_forward(start, vx), encoder_forward(start, vy)
-    fs_ref, _ = forgetting_score_from_features(
-        bx, by, encoder_forward(reference, vx), encoder_forward(reference, vy))
-    print(f"fs_retrain={_fmt(fs_ref)}")
+    def encoders():
+        """Retrain's encoder, then each cell's AC run, whatever unlearn.method
+        is, saved before it is yielded and dropped once scored."""
+        yield "retrain", load_encoder(ref_path)
+        for a, b in cells:
+            ac = dataclasses.replace(base, method="ac", negpair_weight=a, forget_weight=b)
+            net = run_ac(start, data, splits, ac, aug)
+            job_dir = out / "sweep" / f"a{a:g}_b{b:g}"
+            job_dir.mkdir(parents=True, exist_ok=True)
+            save_encoder(net, job_dir / "unlearned.bin")
+            yield job_dir.name, net
+            del net  # before the next cell is trained
 
-    alphas = _parse_grid("sweep.negpair_weights", cfg["sweep.negpair_weights"])
-    betas = _parse_grid("sweep.forget_weights", cfg["sweep.forget_weights"])
-    base = _config(cfg, "unlearn")
-    scores = [_sweep_fs(start, data, splits, base, aug, a, b, (vx, vy), (bx, by),
-                        out / "sweep" / f"a{a:g}_b{b:g}")
-              for a in alphas for b in betas]
-
-    # gap table: FS(candidate) - FS(retrain), one row per alpha
-    lines = ["alpha/beta," + ",".join("%g" % b for b in betas)]
-    it = iter(scores)
-    for a in alphas:
-        lines.append("%g," % a + ",".join(_fmt(next(it) - fs_ref) for _ in betas))
-    _write_lines(out / "fs_gap_grid.csv", lines)
-    print(f"wrote {out / 'fs_gap_grid.csv'}")
+    # one pass: retrain, then each cell as it is trained, scored as eval scores them
+    reports = evaluate(encoders(), start, data, splits, aug, _config(cfg, "probe"), cfg["seed"])
+    ref = reports.pop("retrain").metrics()
+    print(f"fs_retrain={_fmt(ref['fs'])}")
+    _write_report_files(out / "sweep", "retrain_report", ref)
+    lines = [",".join(["alpha", "beta", *REPORT_FIELDS, *(f"gap.{k}" for k in REPORT_FIELDS)])]
+    for (a, b), m in zip(cells, (rep.metrics() for rep in reports.values())):
+        lines.append(",".join(["%g" % a, "%g" % b, *(_fmt(m[k]) for k in REPORT_FIELDS),
+                               *(_fmt(m[k] - ref[k]) for k in REPORT_FIELDS)]))
+    _write_lines(out / "sweep.csv", lines)
+    print(f"wrote {out / 'sweep.csv'}")
     return EXIT_OK
 
 
@@ -604,7 +593,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("report", "metric gaps between two saved reports", data_flags=False)
     p.add_argument("--candidate", required=True, help="candidate report.txt")
     p.add_argument("--reference", required=True, help="reference report.txt")
-    p = add("sweep", "calibration-weight grid of forgetting-score gaps to retraining")
+    p = add("sweep", "calibration-weight grid of AC runs, each scored against retraining")
     p.add_argument("--encoder", default=None, help="pretrained checkpoint (default <out>/encoder.bin)")
     p.add_argument("--reference", default=None, help="retrain checkpoint (default <out>/retrain.bin)")
     return top

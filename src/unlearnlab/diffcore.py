@@ -18,12 +18,13 @@ import numpy as np
 
 from .errors import ConfigurationError, NumericError
 
-# Floor added in quadrature when normalizing, so a zero vector maps to
-# (numerically) zero instead of NaN and the operation stays differentiable.
+# Floor added in quadrature when normalizing, so a zero row divides to zero,
+# not NaN, and fails the TRAIN_NORM_MIN check, not the finiteness check.
 NORM_FLOOR = 1e-12
 
-# Smallest pre-normalization row norm a training step accepts. Healthy runs
-# stay above 0.019; a view with all hidden units dead sits at NORM_FLOOR.
+# Smallest pre-normalization row norm a forward accepts, in training and in
+# scoring alike. Healthy encoders stay above 0.019; a row with all hidden
+# units dead sits at NORM_FLOOR.
 TRAIN_NORM_MIN = 1e-6
 
 # LossFn: features (n, d) -> (scalar value, gradient w.r.t. features)
@@ -128,7 +129,7 @@ class FactoredGrad:
         """(r0, block) for row blocks of about _FORM_BLOCK elements (see
         _row_blocks), all formed in one scratch array, so each is valid
         until the next is drawn."""
-        for r0, r1, (out,) in _row_blocks(self.shape, _FORM_BLOCK):
+        for r0, r1, out in _row_blocks(self.shape, _FORM_BLOCK):
             yield r0, np.matmul(self.x[:, r0:r1].T, self.delta, out=out)
 
     def form(self) -> np.ndarray:
@@ -184,11 +185,11 @@ class GradSet:
         return out
 
 
-def _row_blocks(shape: tuple[int, int], size: int, count: int = 1):
-    """(r0, r1, scratch) for the row ranges r0:r1 of a 2-d array of this
-    shape, each of at most size elements (but at least one row, and one
-    more where a single row would be left over); scratch is
-    count work arrays of the block's shape, views of arrays made once.
+def _row_blocks(shape: tuple[int, int], size: int):
+    """(r0, r1, out) for the row ranges r0:r1 of a 2-d array of this shape,
+    each of at most size elements (but at least one row, and one more where
+    a single row would be left over); out is a work array of the block's
+    shape, a view of one array made once.
 
     A single last row joins the block before it: numpy forms a one-row
     product on its matrix-vector path, whose sums round unlike the whole
@@ -196,10 +197,10 @@ def _row_blocks(shape: tuple[int, int], size: int, count: int = 1):
     rows, cols = shape
     step = max(1, min(rows, size // cols))
     last = int(rows > step and rows % step == 1)
-    bufs = [np.empty((step + last) * cols) for _ in range(count)]
+    buf = np.empty((step + last) * cols)
     for r0 in range(0, rows - last, step):
         r1 = rows if r0 + step >= rows - last else r0 + step
-        yield r0, r1, [b[:(r1 - r0) * cols].reshape(r1 - r0, cols) for b in bufs]
+        yield r0, r1, buf[:(r1 - r0) * cols].reshape(r1 - r0, cols)
 
 
 @dataclass
@@ -260,7 +261,9 @@ def _as_batch(x) -> np.ndarray:
 
 def _forward_cached(net: EncoderNet, batch: np.ndarray):
     """Forward pass keeping each layer's input, and the last one's output,
-    for backward. A rectifier runs in place, so no pre-activation is kept."""
+    for backward. A rectifier runs in place, so no pre-activation is kept.
+    Raises NumericError on a non-finite feature, or on a normalized output
+    row whose norm before normalization is under TRAIN_NORM_MIN."""
     x = _as_batch(batch)
     if x.shape[1] != net.input_dim:
         raise ConfigurationError(
@@ -282,12 +285,16 @@ def _forward_cached(net: EncoderNet, batch: np.ndarray):
         z = h
     if not np.all(np.isfinite(z)):
         raise NumericError("encoder forward produced non-finite features")
+    if norms is not None and np.any(norms < TRAIN_NORM_MIN):
+        raise NumericError(f"{np.count_nonzero(norms < TRAIN_NORM_MIN)} of {len(norms)} output "
+                           f"rows have a norm before normalization below the training floor "
+                           f"{TRAIN_NORM_MIN:g} (smallest {norms.min():.3g})")
     return z, (inputs, norms)
 
 
 def encoder_forward(net: EncoderNet, batch) -> np.ndarray:
     """Features for a batch, shape (n, out_dim of the last layer).  Unit
-    rows when normalize_output is on (up to the tiny norm floor)."""
+    rows when normalize_output is on (see _forward_cached for the checks)."""
     z, _ = _forward_cached(net, batch)
     return z
 
@@ -331,14 +338,13 @@ def _backward(net: EncoderNet, cache, z: np.ndarray, dfeats: np.ndarray,
 def loss_and_grads(net: EncoderNet, batch, loss_fn: LossFn,
                    out: GradSet | None = None) -> tuple[float, GradSet]:
     """Evaluate loss_fn on the encoder's features and backprop to parameters.
-    A normalized output row whose norm before normalization is under
-    TRAIN_NORM_MIN raises NumericError. The gradients are written into out
-    when given (see GradSet.like), so a training loop that passes one buffer
-    allocates no gradient per step; they stay valid until the next call with
-    the same buffer. The first layer's weight gradient is kept as its
-    factors, the batch and the layer's output gradient, when they hold
-    fewer floats than it, n·(d_in + d_out) < d_in·d_out (see GradSet); the
-    batch must then stay unchanged while the gradients are used."""
+    The gradients are written into out when given (see GradSet.like), so a
+    training loop that passes one buffer allocates no gradient per step;
+    they stay valid until the next call with the same buffer. The first
+    layer's weight gradient is kept as its factors, the batch and the
+    layer's output gradient, when they hold fewer floats than it,
+    n·(d_in + d_out) < d_in·d_out (see GradSet); the batch must then stay
+    unchanged while the gradients are used."""
     params = net.param_arrays()
     if out is None:
         out = GradSet.like(net)
@@ -349,10 +355,6 @@ def loss_and_grads(net: EncoderNet, batch, loss_fn: LossFn,
     if isinstance(out.weights[0], FactoredGrad):
         out.weights[0] = None  # let the last batch go before this one's forward
     z, cache = _forward_cached(net, batch)
-    norms = cache[1]
-    if norms is not None and np.any(norms < TRAIN_NORM_MIN):
-        raise NumericError(f"an output row's norm before normalization, {norms.min():.3g}, "
-                           f"is below the training floor {TRAIN_NORM_MIN:g}")
     value, dfeats = loss_fn(z)
     value = float(value)
     dfeats = np.asarray(dfeats, dtype=np.float64)
@@ -414,10 +416,11 @@ def sgd_momentum_step(net: EncoderNet, grads: GradSet, opt: OptState) -> None:
 
     One loop updates every array in row blocks of at most _BLOCK elements,
     so its parameter, gradient and buffer are each read once and no
-    temporary of its size is made. A dense gradient yields views of its
-    rows; a factored one forms row blocks of _FORM_BLOCK elements (see
-    FactoredGrad.blocks), each updated while it is in cache, so the whole
-    product is never written."""
+    temporary of its size is made: each array's products go through one
+    scratch block. A dense gradient yields views of its rows; a factored
+    one forms row blocks of _FORM_BLOCK elements (see FactoredGrad.blocks),
+    each updated while it is in cache, so the whole product is never
+    written."""
     params = net.param_arrays()
     garrs = grads._parts()
     if len(params) != len(garrs):
@@ -434,14 +437,18 @@ def sgd_momentum_step(net: EncoderNet, grads: GradSet, opt: OptState) -> None:
     for p, g, buf in zip(params, garrs, opt.buffers):
         p, buf = np.atleast_2d(p), np.atleast_2d(buf)
         factored = isinstance(g, FactoredGrad)
+        # the update is elementwise, so any row blocks give the same bits
+        step = max(1, _BLOCK // p.shape[1])
         # a formed block is spent once added in, so it is its own scratch
         # unless the L1 term is formed beside it
         own = factored and opt.l1 == 0.0
+        scratch = None if own else np.empty((min(step, len(p)), p.shape[1]))
         for r0, gb in g.blocks() if factored else [(0, np.atleast_2d(g))]:
-            for s0, s1, scratch in _row_blocks(gb.shape, _BLOCK, 0 if own else 1):
-                rows, g_rows = slice(r0 + s0, r0 + s1), gb[s0:s1]
-                _momentum_update(p[rows], g_rows, buf[rows], g_rows if own else scratch[0],
-                                 *hyper)
+            for s0 in range(0, len(gb), step):
+                g_rows = gb[s0:s0 + step]
+                rows = slice(r0 + s0, r0 + s0 + len(g_rows))
+                _momentum_update(p[rows], g_rows, buf[rows],
+                                 g_rows if own else scratch[:len(g_rows)], *hyper)
     opt.step += 1
 
 

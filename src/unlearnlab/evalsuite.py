@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 import time
 import warnings
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -132,22 +133,25 @@ class GapReport:
 # --- replayed views and alignment ------------------------------------------------
 
 
+def _replay_views(data: LabeledDataset, ids, aug: AugmentorConfig, seed: int, tag: int,
+                  n_views: int):
+    """Each id's n_views replayed views, one (n_views, d) array per id, in
+    order; each id's come from its own stream of the tag, so they depend on
+    the seed alone, not on training epochs or on the other ids."""
+    ids = np.asarray(ids, dtype=np.int64)
+    if ids.size == 0:
+        raise ConfigurationError("need at least one id to replay")
+    for sid, row in zip(ids, data.rows_for(ids)):
+        yield augment_views(data.samples[row], aug, n_views, seeds.stream_rng(seed, tag, int(sid)))
+
+
 def paired_unlearn_views(
     data: LabeledDataset, unlearn_ids, aug: AugmentorConfig, seed: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One frozen positive pair per unlearn sample, replayable from the
-    seed alone (own stream, independent of training epochs)."""
-    ids = np.asarray(unlearn_ids, dtype=np.int64)
-    if ids.size == 0:
-        raise ConfigurationError("need at least one unlearn id")
-    rows = data.rows_for(ids)
-    xs = np.empty((ids.size, data.dim))
-    ys = np.empty((ids.size, data.dim))
-    for k, (sid, row) in enumerate(zip(ids, rows)):
-        views = augment_views(
-            data.samples[row], aug, 2, seeds.stream_rng(seed, seeds.AUDIT_VIEWS, int(sid))
-        )
-        xs[k], ys[k] = views[0], views[1]
+    """One frozen positive pair per unlearn sample, as two (n, d) arrays."""
+    xs, ys = np.empty((2, len(unlearn_ids), data.dim))
+    for k, views in enumerate(_replay_views(data, unlearn_ids, aug, seed, seeds.AUDIT_VIEWS, 2)):
+        xs[k], ys[k] = views
     return xs, ys
 
 
@@ -337,21 +341,8 @@ def fit_threshold(member_scores, nonmember_scores) -> tuple[float, float]:
 _MI_N_VIEWS = 10
 
 
-def _mi_views(data: LabeledDataset, ids, aug: AugmentorConfig, seed: int) -> np.ndarray:
-    """_MI_N_VIEWS replayed MI views of each id, shape (len(ids), _MI_N_VIEWS, d)."""
-    ids = np.asarray(ids, dtype=np.int64)
-    if ids.size == 0:
-        raise ConfigurationError("need at least one id to score")
-    rows = data.rows_for(ids)
-    return np.stack([
-        augment_views(data.samples[row], aug, _MI_N_VIEWS,
-                      seeds.stream_rng(seed, seeds.MI_VIEWS, int(sid)))
-        for sid, row in zip(ids, rows)
-    ])
-
-
 def _mi_scores(enc: EncoderNet, views: np.ndarray) -> np.ndarray:
-    """Per-sample mean pairwise cosine over the views of _mi_views."""
+    """Per-sample mean pairwise cosine over (n, _MI_N_VIEWS, d) replayed views."""
     n, n_views, d = views.shape
     z = encoder_forward(enc, views.reshape(n * n_views, d)).reshape(n, n_views, -1)
     sims = np.einsum("nad,nbd->nab", z, z)
@@ -368,7 +359,8 @@ def mi_alignment_scores(
 ) -> np.ndarray:
     """Per-sample mean pairwise cosine across _MI_N_VIEWS stochastic views
     (45 pairs for its 10 views)."""
-    return _mi_scores(enc, _mi_views(data, ids, aug, seed))
+    return _mi_scores(enc, np.stack(list(
+        _replay_views(data, ids, aug, seed, seeds.MI_VIEWS, _MI_N_VIEWS))))
 
 
 def _attack_sets(splits: Splits, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -545,7 +537,7 @@ def gap_report(candidate: dict[str, float], reference: dict[str, float]) -> GapR
 
 
 def evaluate(
-    encoders: dict[str, EncoderNet],
+    encoders: Iterable[tuple[str, EncoderNet]],
     before: EncoderNet,
     data: LabeledDataset,
     splits: Splits,
@@ -553,16 +545,19 @@ def evaluate(
     probe_cfg: ProbeConfig,
     seed: int,
 ) -> dict[str, EvalReport]:
-    """The EvalReport of each named encoder against one pre-unlearning
-    encoder: forgetting score, both membership attacks and probe
-    accuracies. The audit views, before's features of them, the member
-    sample and the MI views are built once and shared by every encoder;
-    each report's runtime counts that shared work plus its own scoring.
+    """The EvalReport of each (name, encoder) pair that encoders yields,
+    against one pre-unlearning encoder: forgetting score, both membership
+    attacks and probe accuracies. The audit views, before's features of
+    them, the member sample and the MI views are built once, before the
+    first encoder is drawn, and shared by every encoder; each report's
+    runtime counts that shared work plus its own scoring.
 
-    Each encoder forwards the retain, test, unlearn and member samples
-    once: the probe trains on the retain features, the accuracies score the
-    head's logits of the three splits, and the confidence attack reuses the
-    member, test and unlearn logits."""
+    Each encoder is scored as it is drawn and dropped before the next is
+    drawn, so a generator's encoders are freed one by one. It forwards the
+    retain, test, unlearn and member samples once: the probe trains on the
+    retain features, the accuracies score the head's logits of the three
+    splits, and the confidence attack reuses the member, test and unlearn
+    logits."""
     t0 = time.perf_counter()
     xs, ys = paired_unlearn_views(data, splits.unlearn, aug, seed)
     bx, by = encoder_forward(before, xs), encoder_forward(before, ys)
@@ -570,7 +565,8 @@ def evaluate(
     # before passed inline is freed here; on 3.10 the caller's stack keeps it
     del before
     attack_ids = _attack_sets(splits, seed)
-    mi_views = [_mi_views(data, ids, aug, seed) for ids in attack_ids]
+    mi_views = [np.stack(list(_replay_views(data, ids, aug, seed, seeds.MI_VIEWS, _MI_N_VIEWS)))
+                for ids in attack_ids]
     # the member sample is a forward batch of its own: as rows of the retain
     # batch, its features could round differently in BLAS
     scored_ids = (splits.retain, splits.test, splits.unlearn, attack_ids[0])
@@ -578,7 +574,7 @@ def evaluate(
     num_classes = int(data.labels.max()) + 1
     shared_s = time.perf_counter() - t0
     reports = {}
-    for name, enc in encoders.items():
+    for name, enc in encoders:
         t1 = time.perf_counter()
         fs, _ = forgetting_score_from_features(
             bx, by, encoder_forward(enc, xs), encoder_forward(enc, ys))
@@ -591,4 +587,5 @@ def evaluate(
             ra=ra, ta=ta, ua=ua,
             runtime_seconds=shared_s + time.perf_counter() - t1,
         )
+        del enc  # before the next is drawn
     return reports

@@ -23,7 +23,8 @@ from unlearnlab.cli import (
     resolve_config,
 )
 from unlearnlab import cli, evalsuite, unlearn
-from unlearnlab.datagen import load_splits
+from unlearnlab.datagen import load_dataset, load_splits
+from unlearnlab.evalsuite import forgetting_score
 from unlearnlab.persist import load_encoder, save_encoder, write_feature_dump
 
 
@@ -250,6 +251,17 @@ def audit_argv(cfg, run, out, **paths):
     return stage_argv("audit", cfg, run, out, **paths)
 
 
+def collapsed(run, path: Path) -> Path:
+    """The run's unlearned encoder with its last layer zeroed: every output
+    row is under the norm floor."""
+    net = load_encoder(run / "unlearned.bin")
+    net.layers[-1].w[:] = 0.0
+    net.layers[-1].b[:] = 0.0
+    path.parent.mkdir(exist_ok=True)
+    save_encoder(net, path)
+    return path
+
+
 class TestEvalExitCodes:
     def test_unknown_set_key(self, eval_inputs, tmp_path, capsys):
         cfg, run = eval_inputs
@@ -276,6 +288,13 @@ class TestEvalExitCodes:
         save_encoder(net, tmp_path / "nan.bin")
         assert main(eval_argv(cfg, run, tmp_path, candidate=tmp_path / "nan.bin")) == EXIT_NUMERIC
         assert "non-finite" in capsys.readouterr().err
+        assert not (tmp_path / "report.txt").exists()
+
+    def test_collapsed_candidate(self, eval_inputs, tmp_path, capsys):
+        cfg, run = eval_inputs
+        cand = collapsed(run, tmp_path / "collapsed.bin")
+        assert main(eval_argv(cfg, run, tmp_path, candidate=cand)) == EXIT_NUMERIC
+        assert "below the training floor" in capsys.readouterr().err
         assert not (tmp_path / "report.txt").exists()
 
 
@@ -322,6 +341,14 @@ class TestAuditExitCodes:
         # no feature dump, agm.* or audit.txt: the before dumps are not written first
         assert self._written(out) == ["config.audit.txt"]
 
+    def test_collapsed_after(self, eval_inputs, tmp_path, capsys):
+        cfg, run = eval_inputs
+        out = tmp_path / "out"
+        after = collapsed(run, tmp_path / "in" / "collapsed.bin")
+        assert main(audit_argv(cfg, run, out, after=after)) == EXIT_NUMERIC
+        assert "below the training floor" in capsys.readouterr().err
+        assert self._written(out) == ["config.audit.txt"]
+
 
 def probe_argv(cfg, run, out, **paths):
     return stage_argv("probe", cfg, run, out, **{"encoder": run / "unlearned.bin", **paths})
@@ -353,6 +380,13 @@ class TestProbeExitCodes:
         save_encoder(net, tmp_path / "nan.bin")
         assert main(probe_argv(cfg, run, tmp_path, encoder=tmp_path / "nan.bin")) == EXIT_NUMERIC
         assert "non-finite" in capsys.readouterr().err
+        assert not (tmp_path / "probe.txt").exists()
+
+    def test_collapsed_encoder(self, eval_inputs, tmp_path, capsys):
+        cfg, run = eval_inputs
+        enc = collapsed(run, tmp_path / "collapsed.bin")
+        assert main(probe_argv(cfg, run, tmp_path, encoder=enc)) == EXIT_NUMERIC
+        assert "below the training floor" in capsys.readouterr().err
         assert not (tmp_path / "probe.txt").exists()
 
 
@@ -479,6 +513,13 @@ def _stage_fault(fault, cfg, run, inp, out):
                           reference=run / "retrain.bin"), str(path)
     if fault == "sweep_lr":
         return sweep + ["--set", "unlearn.lr=1e300"], "non-finite"
+    if fault == "collapsed_retrain":
+        return sweep[:-1] + [str(collapsed(run, inp / "retrain.bin"))], "below the training floor"
+    if fault == "no_test_split":
+        assert main(["split", "--config", cfg, "--out", str(inp), "--data",
+                     str(run / "dataset.csv"), "--set", "split.test_fraction=0"]) == EXIT_OK
+        return (sweep + ["--splits", str(inp / "splits.csv")],
+                "membership inference needs a test split")
     if fault == "missing_report":
         path = inp / "absent.txt"
         return report + ["--candidate", str(path)], str(path)
@@ -513,6 +554,8 @@ _STAGE_FAULTS = [
     ("sweep", "missing_retrain", EXIT_MISSING_INPUT),
     ("sweep", "truncated_encoder", EXIT_FORMAT),
     ("sweep", "sweep_lr", EXIT_NUMERIC),
+    ("sweep", "collapsed_retrain", EXIT_NUMERIC),
+    ("sweep", "no_test_split", EXIT_CONFIG),
     ("report", "missing_report", EXIT_MISSING_INPUT),
     ("report", "report_no_equals", EXIT_FORMAT),
     ("report", "report_bad_number", EXIT_FORMAT),
@@ -834,13 +877,43 @@ class TestReportAndSweep:
                    "--set", "sweep.negpair_weights=0,1",
                    "--set", "sweep.forget_weights=0,8"])
         assert rc == EXIT_OK
-        lines = (out / "fs_gap_grid.csv").read_text().strip().splitlines()
-        assert lines[0] == "alpha/beta,0,8"
-        assert len(lines) == 3
-        assert all(len(ln.split(",")) == 3 for ln in lines[1:])
-        assert all(np.isfinite(float(v)) for ln in lines[1:] for v in ln.split(",")[1:])
+        lines = (out / "sweep.csv").read_text().strip().splitlines()
+        assert lines[0].split(",") == ["alpha", "beta", *cli.REPORT_FIELDS,
+                                       *(f"gap.{k}" for k in cli.REPORT_FIELDS)]
+        rows = [ln.split(",") for ln in lines[1:]]
+        assert [r[:2] for r in rows] == [["0", "0"], ["0", "8"], ["1", "0"], ["1", "8"]]
+        assert all(len(r) == 14 and all(np.isfinite(float(v)) for v in r) for r in rows)
+        assert not (out / "fs_gap_grid.csv").exists()
         assert not (out / "fs_ratio_grid.csv").exists()
+        assert (out / "sweep" / "retrain_report.txt").exists()
         for a in ("0", "1"):
             for b in ("0", "8"):
                 assert (out / "sweep" / f"a{a}_b{b}" / "unlearned.bin").exists()
 
+    def test_sweep_cells_score_as_eval_does(self, eval_inputs, tmp_path):
+        cfg, run = eval_inputs
+        out = tmp_path / "sweep_run"
+        assert main(stage_argv("sweep", cfg, run, out, encoder=run / "encoder.bin",
+                               reference=run / "retrain.bin")) == EXIT_OK
+        header, *lines = (out / "sweep.csv").read_text().splitlines()
+        rows = [dict(zip(header.split(","), ln.split(","))) for ln in lines]
+        assert [(r["alpha"], r["beta"]) for r in rows] == [("1", "0"), ("1", "4"), ("1", "8")]
+        settings = resolve_config(cfg)
+        data, splits = load_dataset(run / "dataset.csv"), load_splits(run / "splits.csv")
+        aug, seed = cli._config(settings, "aug"), settings["seed"]
+        before = load_encoder(run / "encoder.bin")
+        fs_ref, _ = forgetting_score(before, load_encoder(run / "retrain.bin"), data,
+                                     splits.unlearn, aug, seed)
+        for r in rows:
+            cell = out / "sweep" / f"a{r['alpha']}_b{r['beta']}" / "unlearned.bin"
+            ev = tmp_path / f"eval_{cell.parent.name}"
+            assert main(eval_argv(cfg, run, ev, candidate=cell,
+                                  reference=run / "retrain.bin")) == EXIT_OK
+            # the six metrics, byte for byte as eval writes them
+            assert (ev / "report.txt").read_text() == "".join(
+                f"{k}={r[k]}\n" for k in cli.REPORT_FIELDS)
+            assert ((ev / "reference_report.txt").read_bytes()
+                    == (out / "sweep" / "retrain_report.txt").read_bytes())
+            # the FS gap as the FS-only grid computed it: FS(cell) - FS(retrain)
+            fs, _ = forgetting_score(before, load_encoder(cell), data, splits.unlearn, aug, seed)
+            assert r["gap.fs"] == "%.17g" % (fs - fs_ref)

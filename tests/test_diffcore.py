@@ -57,11 +57,11 @@ class TestForward:
         z = encoder_forward(net, [[3.0]])
         assert z[0, 0] == 7.0
 
-    def test_zero_vector_normalizes_to_zero_not_nan(self):
+    def test_zero_output_row_raises_numeric_error(self):
+        # a zero row divides to zero through NORM_FLOOR, then fails the floor check
         net = single_layer(np.zeros((2, 2)), [0.0, 0.0])
-        z = encoder_forward(net, [[1.0, 1.0]])
-        assert np.all(np.isfinite(z))
-        np.testing.assert_allclose(z, 0.0, atol=1e-9)
+        with pytest.raises(NumericError, match=r"^1 of 1 output rows .* below the training floor"):
+            encoder_forward(net, [[1.0, 1.0]])
 
     def test_unit_norm_invariant(self):
         rng = np.random.default_rng(7)

@@ -522,7 +522,7 @@ class TestFullReport:
         splits = split(data, 0.15, 0.2, 0.0, seed=4)
         cfg = ContrastiveConfig(epochs=5, seed=4, batch_size=32)
         enc = pretrain(data, splits, cfg, [8, 8, 4], AugmentorConfig())
-        rep = evaluate({"c": enc}, enc, data, splits, AugmentorConfig(),
+        rep = evaluate({"c": enc}.items(), enc, data, splits, AugmentorConfig(),
                        ProbeConfig(epochs=15, seed=0), seed=4)["c"]
         assert rep.fs == 0.0  # candidate == before
         assert 0.0 <= rep.emia <= 1.0 and 0.0 <= rep.cmia <= 1.0
@@ -563,7 +563,7 @@ def criterion_12_run(tmp_path_factory):
 
 class TestEvaluate:
     def _evaluate(self, run, encoders):
-        return evaluate(encoders, run["before"], run["data"], run["splits"], run["aug"],
+        return evaluate(encoders.items(), run["before"], run["data"], run["splits"], run["aug"],
                         run["probe"], run["seed"])
 
     def test_equals_one_full_report_per_encoder(self, criterion_12_run):

@@ -88,6 +88,31 @@ class TestPeakMemory:
             start, data, splits, _unlearn_cfg(method, 2), AugmentorConfig()))
         assert peak <= BUDGET, peak / PARAM_BYTES
 
+    def test_l1_scratch_is_one_block(self):
+        # l1sparsity forms its L1 term in one scratch per parameter array,
+        # reused for every block formed of the factored first-layer gradient:
+        # at most one 32x1024 float64 block above finetune's peak
+        data, splits = _problem()
+        start = init_encoder(ARCH, seed=3)
+        peaks = {method: _traced_peak(lambda: run_ac(
+            start, data, splits, _unlearn_cfg(method, 2), AugmentorConfig()))
+            for method in ("finetune", "l1sparsity")}
+        assert peaks["l1sparsity"] - peaks["finetune"] <= 32 * 1024 * 8, peaks
+
+    def test_evaluate_frees_each_drawn_encoder(self):
+        # a generator's encoders are scored and dropped one by one, so three
+        # peak within one parameter size of one
+        data, splits = _problem()
+
+        def peak(k):
+            encoders = ((f"e{i}", init_encoder(ARCH, seed=4 + i)) for i in range(k))
+            return _traced_peak(lambda: evaluate(encoders, init_encoder(ARCH, seed=3), data,
+                                                 splits, AugmentorConfig(), ProbeConfig(epochs=1),
+                                                 seed=0))
+
+        one, three = peak(1), peak(3)
+        assert three <= one + PARAM_BYTES, (one / PARAM_BYTES, three / PARAM_BYTES)
+
 
 @pytest.fixture
 def grad_sets(monkeypatch):
@@ -169,6 +194,6 @@ class TestInlineArgumentsFreed:
 
         monkeypatch.setattr(evalsuite, "probe_logits", spy)
         candidate = init_encoder(ARCH, seed=4)
-        evaluate({"candidate": candidate}, self._fresh(refs, 3), data, splits,
+        evaluate({"candidate": candidate}.items(), self._fresh(refs, 3), data, splits,
                  AugmentorConfig(), ProbeConfig(epochs=1), seed=0)
         assert alive == [False]
