@@ -30,6 +30,7 @@ from .datagen import (
 from .diffcore import encoder_forward
 from .errors import ConfigurationError, DataFormatError, NumericError
 from .evalsuite import (
+    REPORT_FIELDS,
     ProbeConfig,
     SummaryStats,
     alignment_gap,
@@ -42,6 +43,7 @@ from .evalsuite import (
     neg_alignment_stats,
     paired_unlearn_views,
     probe_logits,
+    unit_norm_rows,
     welch_ttest,
 )
 from .persist import (
@@ -62,8 +64,6 @@ EXIT_FORMAT = 4
 EXIT_NUMERIC = 5
 
 OUT_ENV_VAR = "UNLEARNLAB_OUT"
-
-REPORT_FIELDS = ("fs", "emia", "cmia", "ra", "ta", "ua")
 
 # The config sections each dataclass reads: prefix -> (class, the keys not
 # named after their field, as field -> key suffix). Every field but seed is
@@ -397,14 +397,15 @@ def cmd_eval(cfg: dict, args) -> int:
     out = _out_dir(cfg)
     _snapshot(cfg, out, "eval")
     data, splits = _load_data_splits(cfg, args)
-    encoders = {"candidate": load_encoder(_require(Path(args.candidate), "candidate checkpoint"))}
+    paths = {"candidate": _require(Path(args.candidate), "candidate checkpoint")}
     before_path = _require(Path(args.before), "pre-unlearning checkpoint")
     if args.reference:
-        encoders["reference"] = load_encoder(
-            _require(Path(args.reference), "reference checkpoint"))
-    # one pass: both encoders are scored on the same replayed views. before goes
-    # in unnamed, so from Python 3.11 on evaluate frees it once it is used
-    reports = evaluate(encoders.items(), load_encoder(before_path), data, splits,
+        paths["reference"] = _require(Path(args.reference), "reference checkpoint")
+    # one pass: both encoders are scored on the same replayed views, each loaded
+    # once the one before it is scored and dropped. before goes in unnamed, so
+    # from Python 3.11 on evaluate frees it once it is used
+    encoders = ((name, load_encoder(path)) for name, path in paths.items())
+    reports = evaluate(encoders, load_encoder(before_path), data, splits,
                        _config(cfg, "aug"), _config(cfg, "probe"), cfg["seed"])
     rep = reports["candidate"]
     _write_report_files(out, "report", rep.metrics())
@@ -417,19 +418,35 @@ def cmd_eval(cfg: dict, args) -> int:
     return EXIT_OK
 
 
+def _read_unit_dump(path, what: str):
+    """A feature dump's ids and rows, each row a finite unit-norm feature."""
+    ids, feats = read_feature_dump(_require(Path(path), what))
+    bad = np.flatnonzero(~unit_norm_rows(feats))
+    if bad.size:
+        raise DataFormatError(f"{path}: sample {ids[bad[0]]} is not a unit-norm feature row")
+    return ids, feats
+
+
 def _load_dump_pair(path_x, path_y, what: str):
-    ids_x, fx = read_feature_dump(_require(Path(path_x), f"{what} first-view dump"))
-    ids_y, fy = read_feature_dump(_require(Path(path_y), f"{what} second-view dump"))
+    ids_x, fx = _read_unit_dump(path_x, f"{what} first-view dump")
+    ids_y, fy = _read_unit_dump(path_y, f"{what} second-view dump")
     if not np.array_equal(ids_x, ids_y):
         raise ConfigurationError(f"{what}: view dumps carry different sample ids")
     return ids_x, fx, fy
 
 
+def _checkpoint_features(path: Path, views) -> list:
+    """Each view batch's features under the checkpoint at path, freed on return."""
+    enc = load_encoder(path)
+    return [encoder_forward(enc, v) for v in views]
+
+
 def cmd_audit(cfg: dict, args) -> int:
     out = _out_dir(cfg)
     _snapshot(cfg, out, "audit")
-    dump_mode = args.before_x or args.after_x
-    if dump_mode:
+    if bool(args.null_x) != bool(args.null_y):
+        raise ConfigurationError("null-model audit needs both --null-x and --null-y")
+    if args.before_x or args.after_x:
         needed = [args.before_x, args.before_y, args.after_x, args.after_y]
         if not all(needed):
             raise ConfigurationError(
@@ -437,44 +454,33 @@ def cmd_audit(cfg: dict, args) -> int:
         ids, bx, by = _load_dump_pair(args.before_x, args.before_y, "before")
         ids_a, ax, ay = _load_dump_pair(args.after_x, args.after_y, "after")
         if not np.array_equal(ids, ids_a):
-            raise ConfigurationError("before/after dumps carry different sample ids")
+            raise ConfigurationError("--before-x and --after-x dumps carry different sample ids")
+        dumps = {}
     else:
         if not (args.before and args.after):
             raise ConfigurationError(
                 "audit needs either four feature dumps or --before/--after checkpoints")
         data, splits = _load_data_splits(cfg, args)
-        before_enc = load_encoder(_require(Path(args.before), "pre-unlearning checkpoint"))
-        after_enc = load_encoder(_require(Path(args.after), "unlearned checkpoint"))
+        before_path = _require(Path(args.before), "pre-unlearning checkpoint")
+        after_path = _require(Path(args.after), "unlearned checkpoint")
         ids = splits.unlearn
-        vx, vy = paired_unlearn_views(data, ids, _config(cfg, "aug"), cfg["seed"])
-        # both encoders run before any dump is written, so a failing one leaves none
-        bx, by = encoder_forward(before_enc, vx), encoder_forward(before_enc, vy)
-        ax, ay = encoder_forward(after_enc, vx), encoder_forward(after_enc, vy)
-        for stem, fx, fy in (("before", bx, by), ("after", ax, ay)):
-            write_feature_dump(out / f"{stem}_x.csv", ids, fx)
-            write_feature_dump(out / f"{stem}_y.csv", ids, fy)
+        views = paired_unlearn_views(data, ids, _config(cfg, "aug"), cfg["seed"])
+        bx, by = _checkpoint_features(before_path, views)  # one encoder at a time
+        ax, ay = _checkpoint_features(after_path, views)
+        dumps = {"before_x": bx, "before_y": by, "after_x": ax, "after_y": ay}
 
     fs, per_sample = forgetting_score_from_features(bx, by, ax, ay)
-    before_am = alignment_matrix(bx, by, ids, ids)
-    agm = alignment_gap(before_am, alignment_matrix(ax, ay, ids, ids))
-    write_matrix_csv(out / "agm.csv", agm.values, ids, ids)
-    write_heatmap_pgm(out / "agm.pgm", agm.values)
+    before_am = alignment_matrix(bx, by)
+    agm = alignment_gap(before_am, alignment_matrix(ax, ay))
     neg = neg_alignment_stats(agm)
-    lines = [
-        f"fs={_fmt(fs)}",
-        f"neg_mean={_fmt(neg.mean)}",
-        f"neg_std={_fmt(neg.std)}",
-        f"neg_n={neg.n}",
-    ]
-
-    if args.null_x or args.null_y:
-        if not (args.null_x and args.null_y):
-            raise ConfigurationError("null-model audit needs both --null-x and --null-y")
+    lines = [f"fs={_fmt(fs)}", f"neg_mean={_fmt(neg.mean)}", f"neg_std={_fmt(neg.std)}",
+             f"neg_n={neg.n}"]
+    if args.null_x:
         ids_n, nx, ny = _load_dump_pair(args.null_x, args.null_y, "null")
         if not np.array_equal(ids, ids_n):
-            raise ConfigurationError("null dumps carry different sample ids than the audit set")
+            raise ConfigurationError("--null-x dumps carry different sample ids than --before-x")
         _, null_per = forgetting_score_from_features(bx, by, nx, ny)
-        null_agm = alignment_gap(before_am, alignment_matrix(nx, ny, ids, ids))
+        null_agm = alignment_gap(before_am, alignment_matrix(nx, ny))
         pos_test = welch_ttest(SummaryStats.from_values(per_sample),
                                SummaryStats.from_values(null_per))
         neg_test = welch_ttest(neg, neg_alignment_stats(null_agm))
@@ -484,6 +490,12 @@ def cmd_audit(cfg: dict, args) -> int:
             lines.append(f"{tag}_p={_fmt(res.p_value)}")
             lines.append(f"{tag}_reject_05={'yes' if res.p_value < 0.05 else 'no'}")
 
+    # nothing is written until everything is computed, so a failed audit
+    # leaves only its config snapshot
+    for stem, feats in dumps.items():
+        write_feature_dump(out / f"{stem}.csv", ids, feats)
+    write_matrix_csv(out / "agm.csv", agm, ids, ids)
+    write_heatmap_pgm(out / "agm.pgm", agm)
     _write_lines(out / "audit.txt", lines)
     print(f"wrote {out / 'agm.csv'} and {out / 'agm.pgm'}")
     return EXIT_OK
@@ -552,8 +564,9 @@ def build_parser() -> argparse.ArgumentParser:
                                   description="contrastive unlearning laboratory")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text, data_flags=True):
+    def add(name, run, help_text, data_flags=True):
         p = sub.add_parser(name, help=help_text)
+        p.set_defaults(run=run)
         p.add_argument("--config", default=None, help="flat key=value config file")
         p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                        help="override a config key (repeatable)")
@@ -563,20 +576,20 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--splits", default=None, help="splits csv (default <out>/splits.csv)")
         return p
 
-    add("gen-data", "generate or import a dataset", data_flags=False)
-    add("split", "partition a dataset into retain/unlearn/test/validation",
+    add("gen-data", cmd_gen_data, "generate or import a dataset", data_flags=False)
+    add("split", cmd_split, "partition a dataset into retain/unlearn/test/validation",
         data_flags=False).add_argument("--data", default=None)
-    add("pretrain", "contrastive pretraining on the train split")
-    add("retrain", "exact unlearning: fresh pretraining on the retain split")
-    p = add("unlearn", "run an approximate unlearning method")
+    add("pretrain", cmd_pretrain, "contrastive pretraining on the train split")
+    add("retrain", cmd_retrain, "exact unlearning: fresh pretraining on the retain split")
+    p = add("unlearn", cmd_unlearn, "run an approximate unlearning method")
     p.add_argument("--encoder", default=None, help="starting checkpoint (default <out>/encoder.bin)")
-    p = add("probe", "fit a linear readout and report accuracies")
+    p = add("probe", cmd_probe, "fit a linear readout and report accuracies")
     p.add_argument("--encoder", default=None, help="encoder checkpoint (default <out>/unlearned.bin)")
-    p = add("eval", "white-box evaluation of a candidate encoder")
+    p = add("eval", cmd_eval, "white-box evaluation of a candidate encoder")
     p.add_argument("--candidate", required=True, help="candidate checkpoint")
     p.add_argument("--before", required=True, help="pre-unlearning checkpoint")
     p.add_argument("--reference", default=None, help="retrain checkpoint for gap reporting")
-    p = add("audit", "black-box data-owner audit from feature dumps or checkpoints")
+    p = add("audit", cmd_audit, "black-box data-owner audit from feature dumps or checkpoints")
     p.add_argument("--before-x", default=None)
     p.add_argument("--before-y", default=None)
     p.add_argument("--after-x", default=None)
@@ -590,27 +603,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(flag, type=float, required=True)
     p.add_argument("--n-a", type=int, required=True)
     p.add_argument("--n-b", type=int, required=True)
-    p = add("report", "metric gaps between two saved reports", data_flags=False)
+    p = add("report", cmd_report, "metric gaps between two saved reports", data_flags=False)
     p.add_argument("--candidate", required=True, help="candidate report.txt")
     p.add_argument("--reference", required=True, help="reference report.txt")
-    p = add("sweep", "calibration-weight grid of AC runs, each scored against retraining")
+    p = add("sweep", cmd_sweep,
+            "calibration-weight grid of AC runs, each scored against retraining")
     p.add_argument("--encoder", default=None, help="pretrained checkpoint (default <out>/encoder.bin)")
     p.add_argument("--reference", default=None, help="retrain checkpoint (default <out>/retrain.bin)")
     return top
-
-
-_HANDLERS = {
-    "gen-data": cmd_gen_data,
-    "split": cmd_split,
-    "pretrain": cmd_pretrain,
-    "retrain": cmd_retrain,
-    "unlearn": cmd_unlearn,
-    "probe": cmd_probe,
-    "eval": cmd_eval,
-    "audit": cmd_audit,
-    "report": cmd_report,
-    "sweep": cmd_sweep,
-}
 
 
 def main(argv=None) -> int:
@@ -619,7 +619,7 @@ def main(argv=None) -> int:
         if args.command == "ttest":
             return cmd_ttest(args)
         cfg = resolve_config(args.config, args.set, args.out)
-        return _HANDLERS[args.command](cfg, args)
+        return args.run(cfg, args)
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -45,24 +45,6 @@ from .errors import ConfigurationError, NumericError
 
 
 @dataclass
-class AlignmentMatrix:
-    """values[i, j] = <x-view feature of row i, y-view feature of col j>."""
-
-    values: np.ndarray
-    row_ids: np.ndarray
-    col_ids: np.ndarray
-
-
-@dataclass
-class AlignmentGapMatrix:
-    """Alignment before minus after; diagonal holds per-sample forgetting."""
-
-    values: np.ndarray
-    row_ids: np.ndarray
-    col_ids: np.ndarray
-
-
-@dataclass
 class SummaryStats:
     mean: float
     std: float
@@ -105,6 +87,10 @@ class ProbeConfig:
         check_sgd_settings(self.lr, self.momentum, self.weight_decay)
 
 
+# The metrics of a report, in the order every report file lists them.
+REPORT_FIELDS = ("fs", "emia", "cmia", "ra", "ta", "ua")
+
+
 @dataclass
 class EvalReport:
     fs: float
@@ -117,10 +103,7 @@ class EvalReport:
 
     def metrics(self) -> dict[str, float]:
         """Persisted metrics; runtime stays out so reports are replayable."""
-        return {
-            "fs": self.fs, "emia": self.emia, "cmia": self.cmia,
-            "ra": self.ra, "ta": self.ta, "ua": self.ua,
-        }
+        return {k: getattr(self, k) for k in REPORT_FIELDS}
 
 
 @dataclass
@@ -155,38 +138,35 @@ def paired_unlearn_views(
     return xs, ys
 
 
+def unit_norm_rows(z: np.ndarray) -> np.ndarray:
+    """Which rows of z have a norm within 1e-6 of 1; a NaN norm has not."""
+    return np.abs(np.linalg.norm(z, axis=1) - 1.0) <= 1e-6
+
+
 def _check_unit_features(z: np.ndarray, what: str) -> np.ndarray:
     z = np.asarray(z, dtype=np.float64)
     if z.ndim != 2 or z.shape[0] == 0:
         raise ConfigurationError(f"{what} must be a non-empty 2-d array")
-    norms = np.linalg.norm(z, axis=1)
-    # written so that a NaN norm fails the check too
-    if not np.all(np.abs(norms - 1.0) <= 1e-6):
+    if not np.all(unit_norm_rows(z)):
         raise ConfigurationError(f"{what} rows must be finite unit-norm features")
     return z
 
 
-def alignment_matrix(feats_x, feats_y, row_ids=None, col_ids=None) -> AlignmentMatrix:
-    """Cross-view cosine table from unit-norm feature rows."""
+def alignment_matrix(feats_x, feats_y) -> np.ndarray:
+    """Cross-view cosine table from unit-norm feature rows: entry [i, j] is
+    row i of feats_x against row j of feats_y, clipped to [-1, 1]."""
     zx = _check_unit_features(feats_x, "x-view features")
     zy = _check_unit_features(feats_y, "y-view features")
     if zx.shape[1] != zy.shape[1]:
         raise ConfigurationError("feature dims differ between views")
-    row_ids = np.arange(zx.shape[0]) if row_ids is None else np.asarray(row_ids, dtype=np.int64)
-    col_ids = np.arange(zy.shape[0]) if col_ids is None else np.asarray(col_ids, dtype=np.int64)
-    if row_ids.shape != (zx.shape[0],) or col_ids.shape != (zy.shape[0],):
-        raise ConfigurationError("id arrays must align with feature rows")
-    return AlignmentMatrix(np.clip(zx @ zy.T, -1.0, 1.0), row_ids, col_ids)
+    return np.clip(zx @ zy.T, -1.0, 1.0)
 
 
-def alignment_gap(before: AlignmentMatrix, after: AlignmentMatrix) -> AlignmentGapMatrix:
-    if before.values.shape != after.values.shape:
+def alignment_gap(before: np.ndarray, after: np.ndarray) -> np.ndarray:
+    """Alignment before minus after; the diagonal holds per-sample forgetting."""
+    if before.shape != after.shape:
         raise ConfigurationError("alignment matrices have different shapes")
-    if not (np.array_equal(before.row_ids, after.row_ids)
-            and np.array_equal(before.col_ids, after.col_ids)):
-        raise ConfigurationError("alignment matrices cover different ids")
-    return AlignmentGapMatrix(
-        before.values - after.values, before.row_ids.copy(), before.col_ids.copy())
+    return before - after
 
 
 def forgetting_score_from_features(bx, by, ax, ay) -> tuple[float, np.ndarray]:
@@ -219,14 +199,13 @@ def forgetting_score(
     )
 
 
-def neg_alignment_stats(gap: AlignmentGapMatrix) -> SummaryStats:
+def neg_alignment_stats(gap: np.ndarray) -> SummaryStats:
     """Summary of the n(n-1) cross-sample (off-diagonal) gap entries."""
-    v = gap.values
-    if v.shape[0] != v.shape[1]:
+    if gap.shape[0] != gap.shape[1]:
         raise ConfigurationError("off-diagonal stats need a square gap matrix")
-    if v.shape[0] < 2:
+    if gap.shape[0] < 2:
         raise ConfigurationError("need at least 2 samples for cross-sample stats")
-    return SummaryStats.from_values(v[~np.eye(v.shape[0], dtype=bool)])
+    return SummaryStats.from_values(gap[~np.eye(gap.shape[0], dtype=bool)])
 
 
 # --- two-sample location test from summary statistics ----------------------------

@@ -579,24 +579,13 @@ def write_matrix_csv(path: PathLike, values: np.ndarray,
     _write_id_rows(path, header, [[int(r) for r in row_ids]], values)
 
 
-def symmetric_range(values: np.ndarray) -> tuple[float, float]:
-    """Value range centered on zero for heatmap rendering.
-
-    Uses the largest absolute entry so zero always maps to mid-gray; an
-    all-zero matrix gets the placeholder range (-1, 1).
-    """
-    r = float(np.max(np.abs(np.asarray(values, dtype=float)))) if np.asarray(values).size else 0.0
-    if r == 0.0:
-        r = 1.0
-    return -r, r
-
-
 def write_heatmap_pgm(path: PathLike, values: np.ndarray,
                       lo: float = None, hi: float = None) -> None:
     """Render a matrix to binary PGM (P5), mapping [lo, hi] onto 0..255.
 
-    Defaults to a zero-centered range so sign structure survives. Values
-    outside the range clamp to the endpoints. The file is replaced whole.
+    Defaults to (-r, r), r the largest absolute entry or 1 if all are 0, so
+    zero maps to mid-gray and sign structure survives. Values outside the
+    range clamp to the endpoints. The file is replaced whole.
     """
     values = np.asarray(values, dtype=float)
     if values.ndim != 2 or values.size == 0:
@@ -604,7 +593,8 @@ def write_heatmap_pgm(path: PathLike, values: np.ndarray,
     if not np.all(np.isfinite(values)):
         raise DataFormatError("refusing to render non-finite heatmap values")
     if lo is None and hi is None:
-        lo, hi = symmetric_range(values)
+        hi = float(np.max(np.abs(values))) or 1.0
+        lo = -hi
     if lo is None or hi is None or not lo < hi:
         raise DataFormatError(f"heatmap range must satisfy lo < hi, got ({lo}, {hi})")
     scaled = (values - lo) / (hi - lo) * 255.0

@@ -307,7 +307,7 @@ def test_criterion_08_identity_audits():
     gap = alignment_gap(alignment_matrix(fx, fy), alignment_matrix(fx, fy))
     res = welch_ttest(SummaryStats.from_values(per), SummaryStats.from_values(per))
     assert fs == 0.0
-    assert np.all(gap.values == 0.0)
+    assert np.all(gap == 0.0)
     assert res.p_value == 1.0
 
     # sign-flip rotation: exact cosine invariance even in floats
@@ -324,7 +324,7 @@ def test_criterion_08_identity_audits():
     rx, ry = encoder_forward(rot, vx), encoder_forward(rot, vy)
     fs_rot, _ = forgetting_score_from_features(fx, fy, rx, ry)
 
-    print(f"criterion 8: identity fs={fs}, p={res.p_value}, agm max |{np.max(np.abs(gap.values))}|; "
+    print(f"criterion 8: identity fs={fs}, p={res.p_value}, agm max |{np.max(np.abs(gap))}|; "
           f"sign-flip fs={fs_flip}, qr-rotation |fs|={abs(fs_rot):.2e}")
     assert fs_flip == 0.0
     assert abs(fs_rot) < 1e-12

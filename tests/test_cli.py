@@ -537,6 +537,35 @@ def _stage_fault(fault, cfg, run, inp, out):
     if fault == "dump_without_id":
         path = _put(inp / "bx.csv", "sample,dim0,dim1\n0,1,0\n1,0,1\n")
         return audit + [str(path)], str(path)
+    if fault == "dump_non_unit_row":
+        path = _put(inp / "bx.csv", "id,dim0,dim1\n0,1,0\n7,0.5,0\n")
+        return audit + [str(path)], f"{path}: sample 7"
+    if fault == "dump_ids_differ":
+        other = inp / "other.csv"
+        write_feature_dump(other, [0, 2], np.eye(2))
+        return (["audit", "--out", str(out), "--before-x", str(dump), "--before-y", str(dump),
+                 "--after-x", str(other), "--after-y", str(other)], "--before-x and --after-x")
+    if fault == "no_dumps_or_checkpoints":
+        return (["audit", "--out", str(out), "--before", str(run / "encoder.bin")],
+                "--before/--after")
+    if fault == "one_null_dump":
+        return audit + [str(dump), "--null-x", str(dump)], "--null-x and --null-y"
+    if fault == "null_ids_differ":
+        null = inp / "null.csv"
+        write_feature_dump(null, [0, 2], np.eye(2))
+        return audit + [str(dump), "--null-x", str(null), "--null-y", str(null)], "--null-x dumps"
+    if fault == "set_not_a_number":
+        return gen + ["pretrain.lr=abc"], "pretrain.lr: expected a number"
+    if fault == "set_not_a_boolean":
+        return gen + ["aug.image_mode=maybe"], "aug.image_mode: expected a boolean"
+    if fault == "set_without_equals":
+        return gen + ["foo"], "expected key=value, got 'foo'"
+    if fault == "set_missing_config":
+        path = inp / "absent.cfg"
+        return ["gen-data", "--out", str(out), "--config", str(path)], str(path)
+    if fault.startswith("arch_"):
+        arch = {"arch_not_integers": "16,x", "arch_one_dim": "16"}[fault]
+        return stage_argv("pretrain", cfg, run, out) + ["--set", f"arch={arch}"], "arch"
     raise AssertionError(fault)
 
 
@@ -564,15 +593,27 @@ _STAGE_FAULTS = [
     ("ttest", "single_sample", EXIT_CONFIG),
     ("audit", "missing_dump", EXIT_MISSING_INPUT),
     ("audit", "dump_without_id", EXIT_FORMAT),
+    ("audit", "dump_non_unit_row", EXIT_FORMAT),
+    ("audit", "dump_ids_differ", EXIT_CONFIG),
+    ("audit", "no_dumps_or_checkpoints", EXIT_CONFIG),
+    ("audit", "one_null_dump", EXIT_CONFIG),
+    ("audit", "null_ids_differ", EXIT_CONFIG),
+    ("gen-data", "set_not_a_number", EXIT_CONFIG),
+    ("gen-data", "set_not_a_boolean", EXIT_CONFIG),
+    ("gen-data", "set_without_equals", EXIT_CONFIG),
+    ("gen-data", "set_missing_config", EXIT_MISSING_INPUT),
+    ("pretrain", "arch_not_integers", EXIT_CONFIG),
+    ("pretrain", "arch_one_dim", EXIT_CONFIG),
 ]
 
 
 class TestStageExitCodes:
-    """gen-data, split, sweep, report, ttest and dump-mode audit. The error
-    names the file or key at fault (a diverging run names the non-finite
-    step instead); a failed call leaves only its config snapshot, and report,
-    ttest and a grid or seed rejected as the config is read leave nothing
-    at all."""
+    """gen-data, split, sweep, report, ttest, the arch key of pretrain and
+    the arguments of audit. The error names the file, key or flag at fault
+    (a diverging run names the non-finite step instead); a failed call
+    leaves only its config snapshot, and report, ttest and a value, grid,
+    seed or config file rejected as the config is read leave nothing at
+    all."""
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("command,fault,code", _STAGE_FAULTS)
@@ -586,7 +627,8 @@ class TestStageExitCodes:
         assert argv[0] == command
         assert main(argv) == code
         assert named in capsys.readouterr().err
-        if command in ("report", "ttest") or fault.endswith("_grid") or "seed" in fault:
+        if (command in ("report", "ttest") or fault.endswith("_grid") or "seed" in fault
+                or fault.startswith("set_")):
             assert not out.exists()
         else:
             assert sorted(p.name for p in out.iterdir()) == [f"config.{command}.txt"]
@@ -617,7 +659,8 @@ class TestProbeForwards:
                            "alive until it returns")
 class TestCheckpointLifetimes:
     """unlearn frees its start checkpoint before training, and eval frees the
-    pre-unlearning checkpoint before scoring; the scored ones stay."""
+    pre-unlearning checkpoint before scoring and loads the reference only
+    once the candidate is scored and dropped."""
 
     @staticmethod
     def _loads(monkeypatch) -> dict:
@@ -655,7 +698,7 @@ class TestCheckpointLifetimes:
         refs, seen = self._loads(monkeypatch), []
         self._spy(monkeypatch, evalsuite, "probe_logits", refs, seen)
         assert main(eval_argv(cfg, run, tmp_path, reference=run / "retrain.bin")) == EXIT_OK
-        assert seen == [["retrain.bin", "unlearned.bin"]] * 2
+        assert seen == [["unlearned.bin"], ["retrain.bin"]]
 
 
 class TestAtomicArtifacts:

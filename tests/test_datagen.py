@@ -492,6 +492,21 @@ class TestTrainingViews:
         with pytest.raises(ConfigurationError, match="3072"):
             draw_view_block(self._vector_data(), AugmentorConfig(image_mode=True), 0, 0)
 
+    def test_chunked_mask_draw_matches_one_draw(self, monkeypatch):
+        # a chunk of 30 uniforms splits the block's mask (40 rows of 2 views
+        # of dim 6) into 20 draws and the 7 replayed views' mask into 2
+        ds = self._vector_data()
+        cfg = AugmentorConfig(mask_prob=0.3)
+
+        def draws():
+            block = draw_view_block(ds, cfg, 5, 1).draws
+            views = augment_views(ds.samples[0], cfg, 7, np.random.default_rng(3))
+            return [block[k].tobytes() for k in ("scale", "noise", "drop")] + [views.tobytes()]
+
+        whole = draws()
+        monkeypatch.setattr(datagen, "_MASK_CHUNK", 30)
+        assert draws() == whole
+
 
 class TestSerialization:
     def test_dataset_round_trip(self, tmp_path):

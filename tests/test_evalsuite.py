@@ -14,8 +14,6 @@ from unlearnlab.datagen import AugmentorConfig, gen_synthetic, load_dataset, loa
 from unlearnlab.diffcore import DenseLayer, EncoderNet, encoder_forward, init_encoder
 from unlearnlab.errors import ConfigurationError, NumericError
 from unlearnlab.evalsuite import (
-    AlignmentGapMatrix,
-    AlignmentMatrix,
     EvalReport,
     ProbeConfig,
     SummaryStats,
@@ -61,9 +59,9 @@ class TestAlignment:
     def test_hand_matrix(self):
         fx = np.array([[1.0, 0.0], [0.0, 1.0]])
         fy = unit_rows([[1.0, 1.0], [-1.0, 0.0]])
-        am = alignment_matrix(fx, fy, row_ids=[7, 8], col_ids=[7, 8])
+        am = alignment_matrix(fx, fy)
         r2 = np.sqrt(0.5)
-        np.testing.assert_allclose(am.values, [[r2, -1.0], [r2, 0.0]], atol=1e-15)
+        np.testing.assert_allclose(am, [[r2, -1.0], [r2, 0.0]], atol=1e-15)
 
     def test_requires_unit_rows(self):
         with pytest.raises(ConfigurationError, match="unit"):
@@ -81,14 +79,12 @@ class TestAlignment:
         f = unit_rows(np.random.default_rng(0).normal(size=(4, 3)))
         am = alignment_matrix(f, f)
         gap = alignment_gap(am, am)
-        assert np.all(gap.values == 0.0)
+        assert np.all(gap == 0.0)
 
-    def test_gap_requires_matching_ids(self):
+    def test_gap_requires_matching_shapes(self):
         f = unit_rows(np.random.default_rng(0).normal(size=(3, 2)))
-        a = alignment_matrix(f, f, row_ids=[0, 1, 2], col_ids=[0, 1, 2])
-        b = alignment_matrix(f, f, row_ids=[0, 1, 3], col_ids=[0, 1, 2])
-        with pytest.raises(ConfigurationError, match="ids"):
-            alignment_gap(a, b)
+        with pytest.raises(ConfigurationError, match="different shapes"):
+            alignment_gap(alignment_matrix(f, f), alignment_matrix(f[:2], f))
 
     def test_gap_diagonal_equals_per_sample_forgetting(self):
         rng = np.random.default_rng(1)
@@ -96,7 +92,7 @@ class TestAlignment:
         ax, ay = unit_rows(rng.normal(size=(5, 4))), unit_rows(rng.normal(size=(5, 4)))
         gap = alignment_gap(alignment_matrix(bx, by), alignment_matrix(ax, ay))
         _, per = forgetting_score_from_features(bx, by, ax, ay)
-        np.testing.assert_allclose(np.diag(gap.values), per, atol=1e-12)
+        np.testing.assert_allclose(np.diag(gap), per, atol=1e-12)
 
 
 class TestForgettingScore:
@@ -155,18 +151,17 @@ class TestForgettingScore:
 class TestNegAlignmentStats:
     def test_off_diagonal_entries(self):
         vals = np.array([[0.5, 0.2, -0.1], [0.3, 0.6, 0.4], [-0.2, 0.1, 0.7]])
-        gap = AlignmentGapMatrix(vals, np.arange(3), np.arange(3))
         off = np.array([0.2, -0.1, 0.3, 0.4, -0.2, 0.1])
-        full = neg_alignment_stats(gap)
+        full = neg_alignment_stats(vals)
         assert full.n == 6
         assert full.mean == pytest.approx(off.mean(), abs=1e-15)
         assert full.std == pytest.approx(np.std(off, ddof=1), abs=1e-15)
 
     def test_non_square_or_single_sample_rejected(self):
         with pytest.raises(ConfigurationError, match="square"):
-            neg_alignment_stats(AlignmentGapMatrix(np.zeros((2, 3)), np.arange(2), np.arange(3)))
+            neg_alignment_stats(np.zeros((2, 3)))
         with pytest.raises(ConfigurationError, match="at least 2"):
-            neg_alignment_stats(AlignmentGapMatrix(np.zeros((1, 1)), np.arange(1), np.arange(1)))
+            neg_alignment_stats(np.zeros((1, 1)))
 
 
 class TestWelch:

@@ -20,11 +20,12 @@ import weakref
 import numpy as np
 import pytest
 
-from unlearnlab import evalsuite, unlearn
+from unlearnlab import cli, evalsuite, unlearn
 from unlearnlab.contrastive import ContrastiveConfig, pretrain_on_ids
-from unlearnlab.datagen import AugmentorConfig, gen_synthetic, split
+from unlearnlab.datagen import AugmentorConfig, gen_synthetic, save_dataset, save_splits, split
 from unlearnlab.diffcore import GradSet, init_encoder
 from unlearnlab.evalsuite import ProbeConfig, evaluate, linear_probe
+from unlearnlab.persist import save_encoder
 from unlearnlab.unlearn import METHODS, ACConfig, run_ac
 
 # 4.7 MB of parameters against 0.2 MB of data and small activations, so
@@ -197,3 +198,47 @@ class TestInlineArgumentsFreed:
         evaluate({"candidate": candidate}.items(), self._fresh(refs, 3), data, splits,
                  AugmentorConfig(), ProbeConfig(epochs=1), seed=0)
         assert alive == [False]
+
+
+@pytest.fixture
+def ckpt_run(tmp_path):
+    """The problem's dataset and splits, and three checkpoints, on disk."""
+    data, splits = _problem()
+    save_dataset(data, tmp_path / "dataset.csv")
+    save_splits(splits, tmp_path / "splits.csv")
+    for k, name in enumerate(("encoder", "unlearned", "retrain")):
+        save_encoder(init_encoder(ARCH, seed=3 + k), tmp_path / f"{name}.bin")
+    return tmp_path
+
+
+def _cli_argv(command, run, **paths):
+    argv = [command, "--out", str(run / "out"), "--data", str(run / "dataset.csv"),
+            "--splits", str(run / "splits.csv"), "--set", "probe.epochs=1"]
+    for flag, name in paths.items():
+        argv += [f"--{flag}", str(run / f"{name}.bin")]
+    return argv
+
+
+class TestCommandsHoldOneCheckpoint:
+    def test_eval_reference_loads_after_candidate_is_dropped(self, ckpt_run):
+        # the candidate, then the reference, one at a time: adding a reference
+        # costs well under one parameter size, where holding both costs one
+        argv = _cli_argv("eval", ckpt_run, candidate="unlearned", before="encoder")
+        alone = _traced_peak(lambda: cli.main(argv))
+        with_ref = _traced_peak(lambda: cli.main(argv + ["--reference",
+                                                         str(ckpt_run / "retrain.bin")]))
+        assert with_ref <= alone + PARAM_BYTES / 4, (alone / PARAM_BYTES, with_ref / PARAM_BYTES)
+
+    def test_audit_frees_before_ahead_of_loading_after(self, ckpt_run, monkeypatch):
+        refs, alive = [], []
+        real = cli.load_encoder
+
+        def load(path):
+            alive.append([r() is not None for r in refs])
+            enc = real(path)
+            refs.append(weakref.ref(enc))
+            return enc
+
+        monkeypatch.setattr(cli, "load_encoder", load)
+        assert cli.main(_cli_argv("audit", ckpt_run, before="encoder", after="unlearned")) == 0
+        assert alive == [[], [False]]

@@ -16,7 +16,6 @@ from unlearnlab.persist import (
     load_encoder,
     read_feature_dump,
     save_encoder,
-    symmetric_range,
     write_feature_dump,
     write_heatmap_pgm,
     write_matrix_csv,
@@ -322,14 +321,6 @@ class TestHeatmap:
     def test_nonfinite_rejected(self, tmp_path):
         with pytest.raises(DataFormatError, match="non-finite"):
             write_heatmap_pgm(tmp_path / "m.pgm", np.array([[np.nan]]))
-
-
-class TestSymmetricRange:
-    def test_max_abs(self):
-        assert symmetric_range(np.array([[0.25, -3.0]])) == (-3.0, 3.0)
-
-    def test_all_zero_placeholder(self):
-        assert symmetric_range(np.zeros((3, 3))) == (-1.0, 1.0)
 
 
 class TestAtomicWrite:
